@@ -34,7 +34,7 @@ func TestMonitoredStdoutByteIdentical(t *testing.T) {
 	if !strings.Contains(errw, "rarsim: ") {
 		t.Errorf("-progress produced no status line on stderr:\n%s", errw)
 	}
-	if normalizeTiming(plain) != normalizeTiming(monitored) {
+	if plain != monitored {
 		t.Errorf("monitored stdout differs from plain:\n--- plain ---\n%s\n--- monitored ---\n%s",
 			plain, monitored)
 	}

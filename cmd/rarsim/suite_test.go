@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"rarpred/internal/experiments"
 	"rarpred/internal/faultsim"
+	"rarpred/internal/workload"
 )
 
 func readFile(path string) (string, error) {
@@ -13,20 +15,13 @@ func readFile(path string) (string, error) {
 	return string(data), err
 }
 
-// normalizeTiming strips the run-to-run wall-clock variation from a
-// report while keeping the timing line (and the id in it) in place;
-// timingLine itself lives in main.go, shared with the -check shadow
-// comparison.
-func normalizeTiming(out string) string {
-	return timingLine.ReplaceAllString(out, "[$1]")
-}
-
 // TestSuiteOutputDeterministic is the scheduler's contract: `-exp all`
-// prints byte-identical stdout under the pre-scheduler sequential path
-// (-seq), a single-worker pool, and a wide pool — only the wall-clock
-// timings may differ.
+// prints byte-identical stdout under a single-worker pool and a wide
+// pool, and both equal the sequential per-experiment renderer the -check
+// shadow oracle compares against.
 func TestSuiteOutputDeterministic(t *testing.T) {
-	base := []string{"-exp", "all", "-size", "3", "-bench", "go,gcc"}
+	ws := []string{"go", "gcc"}
+	base := []string{"-exp", "all", "-size", "3", "-bench", strings.Join(ws, ",")}
 	run := func(extra ...string) string {
 		t.Helper()
 		args := append(append([]string{}, base...), extra...)
@@ -34,25 +29,33 @@ func TestSuiteOutputDeterministic(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("%v: exit %d; stderr:\n%s", extra, code, errw)
 		}
-		return normalizeTiming(out)
+		return out
 	}
-	seq := run("-seq")
+	opt := experiments.Options{Size: 3}
+	for _, ab := range ws {
+		w, _ := workload.ByAbbrev(ab)
+		opt.Workloads = append(opt.Workloads, w)
+	}
+	seq, err := renderSequential(opt, experiments.All())
+	if err != nil {
+		t.Fatal(err)
+	}
 	p1 := run("-p", "1")
 	pN := run("-parallelism", "4")
 	if seq != p1 {
-		t.Errorf("-p 1 output differs from -seq:\n--- seq ---\n%s\n--- p 1 ---\n%s", seq, p1)
+		t.Errorf("-p 1 output differs from sequential:\n--- seq ---\n%s\n--- p 1 ---\n%s", seq, p1)
 	}
 	if seq != pN {
-		t.Errorf("-parallelism 4 output differs from -seq:\n--- seq ---\n%s\n--- p 4 ---\n%s", seq, pN)
+		t.Errorf("-parallelism 4 output differs from sequential:\n--- seq ---\n%s\n--- p 4 ---\n%s", seq, pN)
 	}
 
 	// -check arms the oracles and invariant sweeps; none of them may
-	// perturb the report, at any parallelism. The -p runs also exercise
+	// perturb the report, at any parallelism. These runs also exercise
 	// the sequential shadow comparison end to end (a divergence would
 	// exit non-zero inside run above).
-	for _, extra := range [][]string{{"-check", "-seq"}, {"-check", "-p", "1"}, {"-check", "-p", "4"}} {
+	for _, extra := range [][]string{{"-check", "-p", "1"}, {"-check", "-p", "4"}} {
 		if out := run(extra...); out != seq {
-			t.Errorf("%v output differs from -seq:\n--- seq ---\n%s\n--- checked ---\n%s", extra, seq, out)
+			t.Errorf("%v output differs from sequential:\n--- seq ---\n%s\n--- checked ---\n%s", extra, seq, out)
 		}
 	}
 }
@@ -90,11 +93,13 @@ func TestSchedulerIsolatesPanickingCells(t *testing.T) {
 }
 
 // TestBenchJSONWritten: -benchjson emits the machine-readable suite
-// report with per-experiment cells and scheduler utilization.
+// report with per-experiment cells and scheduler utilization. Schema v7
+// carries no supervision section and no store breaker stats, even with
+// -store armed.
 func TestBenchJSONWritten(t *testing.T) {
 	path := t.TempDir() + "/BENCH_suite.json"
 	code, _, errw := runCLI("-exp", "table51,fig2", "-size", "3",
-		"-bench", "go,gcc", "-benchjson", path)
+		"-bench", "go,gcc", "-store", t.TempDir(), "-benchjson", path)
 	if code != 0 {
 		t.Fatalf("exit %d; stderr:\n%s", code, errw)
 	}
@@ -107,5 +112,42 @@ func TestBenchJSONWritten(t *testing.T) {
 		if !strings.Contains(data, want) {
 			t.Errorf("bench report lacks %s:\n%s", want, data)
 		}
+	}
+
+	m := readBench(t, path)
+	if v := m["schema_version"].(float64); v != 7 {
+		t.Errorf("schema_version = %v, want 7", v)
+	}
+	if _, ok := m["supervise"]; ok {
+		t.Errorf("bench report carries a supervise section:\n%s", data)
+	}
+	st, ok := m["store"].(map[string]any)
+	if !ok {
+		t.Fatalf("bench report has no store section:\n%s", data)
+	}
+	if _, ok := st["breaker"]; ok {
+		t.Errorf("store section carries breaker stats:\n%s", data)
+	}
+}
+
+// TestBenchJSONOmitsSupervisionWhenUnarmed: a plain run without -store
+// emits neither a supervise section nor store breaker stats, matching
+// the v7 schema.
+func TestBenchJSONOmitsSupervisionWhenUnarmed(t *testing.T) {
+	path := t.TempDir() + "/BENCH_suite.json"
+	code, _, errw := runCLI("-exp", "fig2", "-size", "14", "-bench", "go,gcc",
+		"-benchjson", path)
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, errw)
+	}
+	data, err := readFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(data, `"supervise"`) {
+		t.Errorf("unarmed run emitted a supervise section:\n%s", data)
+	}
+	if strings.Contains(data, `"breaker"`) {
+		t.Errorf("run without -store emitted breaker stats:\n%s", data)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -232,5 +233,37 @@ func TestTransientPanicRetriesCleanly(t *testing.T) {
 	}
 	if _, ok := res2.(*PartialResult); ok {
 		t.Errorf("retry after transient fault still partial: %s", res2)
+	}
+}
+
+// TestDeadlineAnnotationReportsElapsed: the per-workload deadline error
+// carries elapsed-vs-configured time, so a !! line distinguishes a
+// near-miss from a hard hang.
+func TestDeadlineAnnotationReportsElapsed(t *testing.T) {
+	defer faultsim.Reset()
+	opt := subset("go", "tom")
+	opt.Size = 12
+	opt.MaxInsts = 1_000_000
+	opt.WorkloadTimeout = time.Second
+	faultsim.Inject(name(t, "go"), faultsim.Fault{Kind: faultsim.Stall})
+
+	res, err := runTable51(opt)
+	if err != nil {
+		t.Fatalf("deadline aborted the suite: %v", err)
+	}
+	p, ok := res.(*PartialResult)
+	if !ok {
+		t.Fatalf("result is %T, want *PartialResult", res)
+	}
+	f := p.Fails[0]
+	if !errors.Is(f, runerr.ErrDeadline) {
+		t.Fatalf("failure %v is not ErrDeadline", f)
+	}
+	want := regexp.MustCompile(`deadline exceeded \([0-9.]+s > 1s\)`)
+	if !want.MatchString(f.Error()) {
+		t.Errorf("deadline error lacks elapsed-vs-configured annotation: %v", f)
+	}
+	if !want.MatchString(p.String()) {
+		t.Errorf("rendered !! line lacks the annotation:\n%s", p.String())
 	}
 }

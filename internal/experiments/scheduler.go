@@ -98,8 +98,7 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 // delivered in suite order — deliver(item) is called exactly once per
 // experiment, ordered, from whichever worker completed the ordering
 // gap. deliver returning false stops the suite: the remaining cells are
-// drained without running and nothing further is delivered (matching
-// the sequential harness, which returns on a non-keepgoing failure).
+// drained without running and nothing further is delivered.
 //
 // If the run context ends mid-suite, experiments whose cells never
 // started are delivered with NotRun set; experiments caught mid-flight
@@ -327,24 +326,9 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 					}
 				} else {
 					w := ws[j.wi]
-					// Memory backpressure: a paused admission gate holds the
-					// worker here — in-flight cells drain and release memory
-					// while no new ones start. The run context ending
-					// releases the wait with its error, like any other
-					// never-started cell.
-					if err = ctx.Err(); err == nil && opt.Supervise != nil {
-						err = opt.Supervise.Admit(ctx)
-					}
-					if err == nil {
+					if err = ctx.Err(); err == nil {
 						st.started.Store(true)
-						if opt.Supervise != nil {
-							row, err = opt.Supervise.RunCell(ctx, st.exp.ID+"/"+w.Name,
-								func(actx context.Context) (any, error) {
-									return runCell(actx, opt, st.exp.Cells, w)
-								})
-						} else {
-							row, err = runCell(ctx, opt, st.exp.Cells, w)
-						}
+						row, err = runCell(ctx, opt, st.exp.Cells, w)
 					}
 					if sk, ok := st.exp.Cells.(StreamKeyer); ok {
 						if key, need := sk.StreamKey(opt, w); need {

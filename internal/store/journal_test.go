@@ -98,8 +98,8 @@ func TestJournalMissingStartsFresh(t *testing.T) {
 // complete record, drop the tail, and leave the file appendable.
 func TestJournalTornTail(t *testing.T) {
 	for _, tail := range [][]byte{
-		{0x40},                          // lone length byte
-		{0x40, 0x00, 0x00, 0x00, 0xab},  // length promising more than present
+		{0x40},                         // lone length byte
+		{0x40, 0x00, 0x00, 0x00, 0xab}, // length promising more than present
 		{0x0c, 0x00, 0x00, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0xde, 0xad, 0xbe, 0xef}, // full record, bad CRC
 	} {
 		path := journalFile(t)
@@ -244,4 +244,75 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// TestJournalSkipsLegacyNoteRecords: older builds journaled store
+// circuit-breaker transitions as annotation records whose experiment
+// field is "\x00breaker". Such a journal must still resume, with the
+// notes neither counted as cells nor visible through Lookup.
+func TestJournalSkipsLegacyNoteRecords(t *testing.T) {
+	path := journalFile(t)
+	j, err := CreateJournal(OS{}, path, testFP)
+	if err != nil {
+		t.Fatalf("CreateJournal: %v", err)
+	}
+	if err := j.Record("fig2", "go_like", []byte("row-go"), 1.5); err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	j.Close()
+
+	// Frame the legacy note by hand, exactly as the old writer did:
+	// len u32 | payload | crc32c(payload), with an empty row and zero
+	// seconds.
+	appendRecord := func(exp, wl string) {
+		var payload []byte
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(exp)))
+		payload = append(payload, exp...)
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(wl)))
+		payload = append(payload, wl...)
+		payload = binary.LittleEndian.AppendUint32(payload, 0)
+		payload = binary.LittleEndian.AppendUint64(payload, 0)
+		rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		rec = append(rec, payload...)
+		rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, castagnoli))
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRecord("\x00breaker", "closed->open")
+	appendRecord("\x00breaker", "open->half-open")
+
+	r, err := ResumeJournal(OS{}, path, testFP)
+	if err != nil {
+		t.Fatalf("ResumeJournal: %v", err)
+	}
+	defer r.Close()
+	if r.Resumed() != 1 {
+		t.Fatalf("Resumed() = %d, want 1 (notes are not cells)", r.Resumed())
+	}
+	if row, ok := r.Lookup("fig2", "go_like"); !ok || string(row) != "row-go" {
+		t.Fatalf("Lookup(fig2, go_like) = %q, %v", row, ok)
+	}
+	if _, ok := r.Lookup("\x00breaker", "closed->open"); ok {
+		t.Fatal("a legacy note surfaced as a journaled cell")
+	}
+	// The note records are intact, so resume keeps them and appends
+	// after them rather than truncating.
+	if err := r.Record("fig5", "go_like", []byte("late"), 0); err != nil {
+		t.Fatalf("Record after resume: %v", err)
+	}
+	r.Close()
+	r2, err := ResumeJournal(OS{}, path, testFP)
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	defer r2.Close()
+	if r2.Resumed() != 2 {
+		t.Fatalf("after append, Resumed() = %d, want 2", r2.Resumed())
+	}
 }
