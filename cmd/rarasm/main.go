@@ -8,6 +8,12 @@
 //	rarasm -run -time prog.s      # execute on the cycle-level model
 //	rarasm -run -cloak prog.s     # report cloaking behaviour as well
 //	rarasm -workload gcc -dis     # operate on a built-in workload
+//	rarasm -run -savetrace t.rart prog.s  # record the memory stream
+//
+// -savetrace writes the committed load/store stream as a checksummed
+// .rart artifact, the same format the rarsim -store tier persists; the
+// header flags a recording cut short by -max, and store.DecodeStream
+// reads it back.
 package main
 
 import (
@@ -21,6 +27,7 @@ import (
 	"rarpred/internal/funcsim"
 	"rarpred/internal/isa"
 	"rarpred/internal/pipeline"
+	"rarpred/internal/store"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
@@ -35,7 +42,7 @@ func main() {
 		wl       = flag.String("workload", "", "use a built-in workload instead of a source file")
 		size     = flag.Int("size", 10, "workload size parameter (with -workload)")
 		traceN   = flag.Uint64("trace", 0, "with -run: print the first N executed instructions with cloaking annotations")
-		saveTr   = flag.String("savetrace", "", "with -run: record the memory trace to a file (trace format)")
+		saveTr   = flag.String("savetrace", "", "with -run: record the memory stream to this file as a .rart artifact")
 	)
 	flag.Parse()
 
@@ -81,26 +88,13 @@ func main() {
 	}
 
 	if *saveTr != "" {
-		tr, err := trace.Record(prog, *maxInsts)
+		s, err := saveTrace(prog, *maxInsts, *saveTr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rarasm:", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*saveTr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rarasm:", err)
-			os.Exit(1)
-		}
-		if err := tr.Save(f); err != nil {
-			fmt.Fprintln(os.Stderr, "rarasm:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "rarasm:", err)
+			fmt.Fprintln(os.Stderr, "rarasm: -savetrace:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("%s: recorded %d events (%d loads) over %d instructions to %s\n",
-			name, len(tr.Events), tr.Loads(), tr.Insts, *saveTr)
+			name, s.Len(), s.Loads(), s.Counts.Insts, *saveTr)
 		return
 	}
 
@@ -156,6 +150,24 @@ func main() {
 		fmt.Printf("cloaking: deps RAW %d / RAR %d; covered RAW %d / RAR %d; wrong %d\n",
 			st.LoadsWithRAW, st.LoadsWithRAR, st.CorrectRAW, st.CorrectRAR, st.Mispredicted())
 	}
+}
+
+// saveTrace records prog's committed memory stream (up to maxInsts; 0 =
+// to completion) and writes it to path as a .rart artifact.
+func saveTrace(prog *isa.Program, maxInsts uint64, path string) (*trace.Stream, error) {
+	s, err := trace.RecordStream(prog, maxInsts)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := store.WriteStream(f, s); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return s, f.Close()
 }
 
 func loadProgram(wl string, size int, args []string) (*isa.Program, string, error) {

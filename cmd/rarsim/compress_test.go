@@ -8,10 +8,9 @@ import (
 	"rarpred/internal/trace"
 )
 
-// Compression must be invisible in the report: it changes how streams
-// are stored, never what events they contain. These tests use size 6,
-// which no other CLI test uses, so the shared trace cache cannot serve
-// a stream recorded under the other mode.
+// Sealed (compressed) chunks are the only resident trace form. The
+// -tracestats test uses size 6, which no other CLI test uses, so it
+// lists only the streams it recorded itself.
 
 func dropSize6(t *testing.T) {
 	t.Helper()
@@ -20,37 +19,24 @@ func dropSize6(t *testing.T) {
 	}
 }
 
-func TestCompressOnOffByteIdentical(t *testing.T) {
-	dropSize6(t)
-	code, on, errw := runCLI("-exp", "fig2,fig5", "-size", "6", "-bench", "go,gcc", "-tracecompress=on")
-	if code != 0 {
-		t.Fatalf("compressed run exit %d: %s", code, errw)
-	}
-	dropSize6(t)
-	code, off, errw := runCLI("-exp", "fig2,fig5", "-size", "6", "-bench", "go,gcc", "-tracecompress=off")
-	if code != 0 {
-		t.Fatalf("uncompressed run exit %d: %s", code, errw)
-	}
-	dropSize6(t)
-	if on != off {
-		t.Fatalf("report differs across -tracecompress:\n--- on ---\n%s--- off ---\n%s", on, off)
-	}
-}
-
+// TestCompressBadValueExitsTwo: the retired raw-resident switch and
+// the retired -p alias are unknown flags, a usage error.
 func TestCompressBadValueExitsTwo(t *testing.T) {
-	code, _, errw := runCLI("-exp", "fig2", "-tracecompress=maybe")
-	if code != 2 || !strings.Contains(errw, "-tracecompress") {
-		t.Fatalf("exit %d, stderr %q; want usage error", code, errw)
+	for _, flag := range []string{"-tracecompress=off", "-parallelism=4"} {
+		code, _, errw := runCLI("-exp", "fig2", flag)
+		name := strings.SplitN(flag, "=", 2)[0]
+		if code != 2 || !strings.Contains(errw, "flag provided but not defined: "+name) {
+			t.Errorf("%s: exit %d, stderr %q; want unknown-flag usage error", flag, code, errw)
+		}
 	}
 }
 
 // TestTraceStatsListsStreams: -tracestats itemizes every resident
-// stream with raw and resident sizes, and compression actually shrinks
-// the resident side.
+// stream with raw and resident sizes.
 func TestTraceStatsListsStreams(t *testing.T) {
 	dropSize6(t)
 	defer dropSize6(t)
-	code, _, errw := runCLI("-exp", "fig2", "-size", "6", "-bench", "go,gcc", "-tracestats", "-tracecompress=on")
+	code, _, errw := runCLI("-exp", "fig2", "-size", "6", "-bench", "go,gcc", "-tracestats")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errw)
 	}

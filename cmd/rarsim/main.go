@@ -24,7 +24,7 @@
 //
 // Multi-experiment sweeps run on a suite-level scheduler: every
 // (experiment × workload) cell from every requested experiment feeds
-// one shared worker pool (-parallelism workers), each workload's trace
+// one shared worker pool (-p workers), each workload's trace
 // records once no matter how many experiments need it, and results
 // print in paper order as they complete — the output is byte-identical
 // to the sequential per-experiment path (which -check re-runs as a
@@ -67,7 +67,6 @@ import (
 	"rarpred/internal/metrics"
 	"rarpred/internal/pipeline"
 	"rarpred/internal/store"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -91,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		live       = fs.Bool("live", false, "re-simulate workloads per experiment instead of replaying the shared trace cache")
 		traceMB    = fs.Int64("tracebudget", 0, "trace cache budget in MiB (0 = default 512)")
 		traceStats = fs.Bool("tracestats", false, "print trace cache statistics (per-stream raw/compressed sizes) to stderr after the run")
-		traceComp  = fs.String("tracecompress", "on", "columnar compression of cached and persisted traces: on or off (off keeps raw chunks, for A/B verification)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		timeout    = fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
@@ -103,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		httpmon    = fs.String("httpmon", "", "serve live monitoring on this address (host:port; :0 picks a port): /metrics is a JSON snapshot of every counter, plus net/http/pprof")
 		selfcheck  = fs.Bool("check", false, "arm the differential oracles and invariant sweeps: cloak/pipeline self-checks, replay-vs-live stream verification, and a sequential shadow run compared against the scheduler's output")
 	)
-	fs.IntVar(parallel, "parallelism", 0, "alias of -p")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -126,16 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *resume && *storeDir == "":
 		fmt.Fprintln(stderr, "rarsim: -resume requires -store")
 		return 2
-	case *traceComp != "on" && *traceComp != "off":
-		fmt.Fprintf(stderr, "rarsim: -tracecompress must be on or off, got %q\n", *traceComp)
-		return 2
 	}
-
-	// Compression changes only how streams are stored (in memory and on
-	// disk), never their event content, so it stays out of the journal
-	// fingerprint and the report is byte-identical either way. The
-	// previous setting is restored on the way out for in-process callers.
-	defer trace.SetCompression(trace.SetCompression(*traceComp == "on"))
 
 	if *traceMB > 0 {
 		experiments.TraceCache().SetBudget(*traceMB << 20)
@@ -522,8 +510,8 @@ type benchReport struct {
 	// Timestamp is the wall-clock time the report was written (RFC 3339,
 	// UTC).
 	Timestamp string `json:"timestamp"`
-	// Parallelism is the worker count the run actually used (the
-	// -parallel flag resolved against GOMAXPROCS).
+	// Parallelism is the worker count the run actually used (the -p
+	// flag resolved against GOMAXPROCS).
 	Parallelism int             `json:"parallelism"`
 	Experiments []benchExp      `json:"experiments"`
 	Scheduler   *benchScheduler `json:"scheduler,omitempty"`
@@ -591,9 +579,9 @@ type benchCache struct {
 	MiB       float64 `json:"mib"`
 	BudgetMiB float64 `json:"budget_mib"`
 	// TraceRawBytes is the resident streams' uncompressed event payload;
-	// TraceResidentBytes is what they actually occupy (and what the
-	// budget charges). CompressionRatio is raw/resident; 1.0 when
-	// compression is off or the cache is empty.
+	// TraceResidentBytes is what their sealed chunks actually occupy (and
+	// what the budget charges). CompressionRatio is raw/resident; 1.0
+	// when the cache is empty.
 	TraceRawBytes      int64   `json:"trace_raw_bytes"`
 	TraceResidentBytes int64   `json:"trace_resident_bytes"`
 	CompressionRatio   float64 `json:"compression_ratio"`
@@ -618,9 +606,6 @@ func (b *benchReport) add(item experiments.SuiteItem) {
 		Failed:  item.Err != nil,
 	}
 	for _, c := range item.Cells {
-		if c.Workload == "" {
-			continue
-		}
 		if c.Resumed {
 			b.resumedCells++
 		}

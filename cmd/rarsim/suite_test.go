@@ -41,12 +41,12 @@ func TestSuiteOutputDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := run("-p", "1")
-	pN := run("-parallelism", "4")
+	pN := run("-p", "4")
 	if seq != p1 {
 		t.Errorf("-p 1 output differs from sequential:\n--- seq ---\n%s\n--- p 1 ---\n%s", seq, p1)
 	}
 	if seq != pN {
-		t.Errorf("-parallelism 4 output differs from sequential:\n--- seq ---\n%s\n--- p 4 ---\n%s", seq, pN)
+		t.Errorf("-p 4 output differs from sequential:\n--- seq ---\n%s\n--- p 4 ---\n%s", seq, pN)
 	}
 
 	// -check arms the oracles and invariant sweeps; none of them may

@@ -176,8 +176,8 @@ type Experiment struct {
 	ID string
 	// Title describes what the paper reports there.
 	Title string
-	// Run executes the experiment standalone (derived from Cells at
-	// registration when nil: a private workload pool plus Assemble).
+	// Run executes the experiment standalone: a private workload pool
+	// over Cells plus Assemble (set at registration).
 	Run func(Options) (Result, error)
 	// Cells decomposes the experiment into independent per-workload
 	// units, letting the suite scheduler pool them with every other
@@ -187,19 +187,18 @@ type Experiment struct {
 
 var registry []Experiment
 
-// register adds e to the registry. A nil Run is derived from Cells, and
-// Run is wrapped so every error leaving the experiment layer is
-// attributed: hard errors gain the experiment id prefix and
-// per-workload failures in a PartialResult are stamped with it
-// (completing the runerr.WorkloadError taxonomy).
+// register adds e to the registry. Every experiment is decomposed into
+// cells, so a nil Cells panics at init. Run is derived from Cells and
+// attributes every error leaving the experiment layer: hard errors gain
+// the experiment id prefix and per-workload failures in a PartialResult
+// are stamped with it (completing the runerr.WorkloadError taxonomy).
 func register(e Experiment) {
-	if e.Run == nil && e.Cells != nil {
-		r := e.Cells
-		e.Run = func(opt Options) (Result, error) { return runCells(opt, r) }
+	if e.Cells == nil {
+		panic("experiments: " + e.ID + " registered without Cells")
 	}
-	id, run := e.ID, e.Run
+	id, r := e.ID, e.Cells
 	e.Run = func(opt Options) (Result, error) {
-		res, err := run(opt)
+		res, err := runCells(opt, r)
 		return stamp(id, res, err)
 	}
 	registry = append(registry, e)

@@ -98,10 +98,19 @@ func TestRegistryStampsExperimentID(t *testing.T) {
 
 // TestStalledWorkloadHitsDeadline: a stalled workload under
 // Options.WorkloadTimeout returns ErrDeadline naming the workload, the
-// rest of the suite completes, and no goroutine is left behind.
+// rest of the suite completes, and no goroutine is left behind. The
+// healthy workload's stream is warmed first, so its cell only replays
+// under the 50 ms deadline — recording it there is slower than that
+// under -race.
 func TestStalledWorkloadHitsDeadline(t *testing.T) {
 	defer faultsim.Reset()
 	before := runtime.NumGoroutine()
+
+	warm := subset("tom")
+	warm.Size = 3
+	if _, err := runTable51(warm); err != nil {
+		t.Fatalf("warming tom: %v", err)
+	}
 
 	opt := subset("go", "tom")
 	opt.Size = 3

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"math"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,18 +69,6 @@ type suiteExp struct {
 	started   atomic.Bool // any cell began with the run context alive
 }
 
-// runWhole runs an undecomposed experiment (no Cells) as a single unit
-// with the same panic isolation a cell gets, so a panicking Run fails
-// its experiment rather than the pool worker executing it.
-func runWhole(opt Options, e Experiment) (res Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, runerr.FromPanic(e.ID, p, debug.Stack())
-		}
-	}()
-	return e.Run(opt)
-}
-
 // RunSuite executes the experiments as one work pool over their
 // (experiment × workload) cells: every cell from every experiment feeds
 // a single queue drained by Options.parallelism() workers, so a slow
@@ -130,62 +117,54 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	var jobs []job
 	var fullyResumed []int // experiments with every cell journaled
 	for ei, e := range exps {
-		st := &suiteExp{exp: e}
-		if e.Cells == nil {
-			// No cell decomposition: the whole experiment is one unit.
-			st.rows = make([]any, 1)
-			st.errs = make([]error, 1)
-			st.stats = make([]CellStat, 1)
-			st.pending.Store(1)
-			jobs = append(jobs, job{ei: ei, wi: -1})
-		} else {
-			st.rows = make([]any, len(ws))
-			st.errs = make([]error, len(ws))
-			st.stats = make([]CellStat, len(ws))
-			// Prefill cells the journal already holds: the decoded row
-			// lands exactly where the worker would have put it, so
-			// assembly cannot tell a resumed cell from a fresh one. An
-			// undecodable journal row (foreign build's gob layout, say)
-			// just re-runs the cell — resume is an optimisation, never a
-			// correctness risk.
-			resumed := make([]bool, len(ws))
-			if codec, ok := e.Cells.(RowCodec); ok && opt.Journal != nil {
-				for wi, w := range ws {
-					enc, hit := opt.Journal.Lookup(e.ID, w.Name)
-					if !hit {
-						continue
-					}
-					row, derr := codec.DecodeRow(enc)
-					if derr != nil {
-						continue
-					}
-					resumed[wi] = true
-					st.rows[wi] = row
-					st.stats[wi] = CellStat{Workload: w.Name, Resumed: true}
-				}
-			}
-			remaining := 0
+		st := &suiteExp{
+			exp:   e,
+			rows:  make([]any, len(ws)),
+			errs:  make([]error, len(ws)),
+			stats: make([]CellStat, len(ws)),
+		}
+		// Prefill cells the journal already holds: the decoded row lands
+		// exactly where the worker would have put it, so assembly cannot
+		// tell a resumed cell from a fresh one. An undecodable journal row
+		// (foreign build's gob layout, say) just re-runs the cell — resume
+		// is an optimisation, never a correctness risk.
+		resumed := make([]bool, len(ws))
+		if codec, ok := e.Cells.(RowCodec); ok && opt.Journal != nil {
 			for wi, w := range ws {
-				if resumed[wi] {
+				enc, hit := opt.Journal.Lookup(e.ID, w.Name)
+				if !hit {
 					continue
 				}
-				remaining++
-				jobs = append(jobs, job{ei: ei, wi: wi})
-				// Pin the stream this cell will consume, so the cache
-				// cannot evict a hot stream between now and the pool
-				// reaching the cell. Resumed cells never touch their
-				// stream, so they take no pin.
-				if sk, ok := e.Cells.(StreamKeyer); ok {
-					if key, need := sk.StreamKey(opt, w); need {
-						traceCache.Retain(key)
-					}
+				row, derr := codec.DecodeRow(enc)
+				if derr != nil {
+					continue
+				}
+				resumed[wi] = true
+				st.rows[wi] = row
+				st.stats[wi] = CellStat{Workload: w.Name, Resumed: true}
+			}
+		}
+		remaining := 0
+		for wi, w := range ws {
+			if resumed[wi] {
+				continue
+			}
+			remaining++
+			jobs = append(jobs, job{ei: ei, wi: wi})
+			// Pin the stream this cell will consume, so the cache cannot
+			// evict a hot stream between now and the pool reaching the
+			// cell. Resumed cells never touch their stream, so they take
+			// no pin.
+			if sk, ok := e.Cells.(StreamKeyer); ok {
+				if key, need := sk.StreamKey(opt, w); need {
+					traceCache.Retain(key)
 				}
 			}
-			st.pending.Store(int32(remaining))
-			if remaining == 0 {
-				st.startOnce.Do(func() { st.start = time.Now() })
-				fullyResumed = append(fullyResumed, ei)
-			}
+		}
+		st.pending.Store(int32(remaining))
+		if remaining == 0 {
+			st.startOnce.Do(func() { st.start = time.Now() })
+			fullyResumed = append(fullyResumed, ei)
 		}
 		states[ei] = st
 	}
@@ -216,10 +195,6 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		st := states[ei]
 		item := SuiteItem{Index: ei, Exp: st.exp, Elapsed: time.Since(st.start), Cells: st.stats}
 		switch {
-		case st.exp.Cells == nil:
-			item.Result, _ = st.rows[0].(Result)
-			item.Err = st.errs[0]
-			item.NotRun = !st.started.Load() && runCtx.Err() != nil
 		case runCtx.Err() != nil && !st.started.Load():
 			item.NotRun = true
 			item.Err = runCtx.Err()
@@ -261,10 +236,8 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	}
 	if opt.CellCost != nil {
 		for i, j := range jobs {
-			if j.wi >= 0 {
-				if sec, ok := opt.CellCost(exps[j.ei].ID, ws[j.wi].Name); ok {
-					cost[i] = sec
-				}
+			if sec, ok := opt.CellCost(exps[j.ei].ID, ws[j.wi].Name); ok {
+				cost[i] = sec
 			}
 		}
 		order := make([]int, len(jobs))
@@ -316,24 +289,15 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				span := startSpan("cell")
 				cellStart := time.Now()
 				var row any
-				var err error
-				if j.wi < 0 {
-					if err = ctx.Err(); err == nil {
-						st.started.Store(true)
-						sub := opt
-						sub.Context = ctx
-						row, err = runWhole(sub, st.exp)
-					}
-				} else {
-					w := ws[j.wi]
-					if err = ctx.Err(); err == nil {
-						st.started.Store(true)
-						row, err = runCell(ctx, opt, st.exp.Cells, w)
-					}
-					if sk, ok := st.exp.Cells.(StreamKeyer); ok {
-						if key, need := sk.StreamKey(opt, w); need {
-							traceCache.Release(key)
-						}
+				w := ws[j.wi]
+				err := ctx.Err()
+				if err == nil {
+					st.started.Store(true)
+					row, err = runCell(ctx, opt, st.exp.Cells, w)
+				}
+				if sk, ok := st.exp.Cells.(StreamKeyer); ok {
+					if key, need := sk.StreamKey(opt, w); need {
+						traceCache.Release(key)
 					}
 				}
 				elapsed := time.Since(cellStart)
@@ -341,25 +305,20 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				suiteWorkersBusy.Add(-1)
 				suiteCellsDone.Add(1)
 				suiteCostDone.Add(j.estMs)
-				if j.wi >= 0 && err == nil && opt.Journal != nil {
+				if err == nil && opt.Journal != nil {
 					// Journal the finished cell durably, best effort: a
 					// failed append costs only this cell's resumability,
 					// never the run. The cell's wall seconds ride along so
 					// a resumed run can schedule longest-first.
 					if codec, ok := st.exp.Cells.(RowCodec); ok {
 						if enc, eerr := codec.EncodeRow(row); eerr == nil {
-							_ = opt.Journal.Record(st.exp.ID, ws[j.wi].Name, enc, elapsed.Seconds())
+							_ = opt.Journal.Record(st.exp.ID, w.Name, enc, elapsed.Seconds())
 						}
 					}
 				}
 				atomic.AddInt64(&busy, int64(elapsed))
-				wi := max(j.wi, 0)
-				st.rows[wi], st.errs[wi] = row, err
-				name := ""
-				if j.wi >= 0 {
-					name = ws[j.wi].Name
-				}
-				st.stats[wi] = CellStat{Workload: name, Elapsed: elapsed, Failed: err != nil}
+				st.rows[j.wi], st.errs[j.wi] = row, err
+				st.stats[j.wi] = CellStat{Workload: w.Name, Elapsed: elapsed, Failed: err != nil}
 				if st.pending.Add(-1) == 0 {
 					assemble(j.ei)
 				}

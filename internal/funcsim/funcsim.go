@@ -105,7 +105,7 @@ func New(prog *isa.Program) *Sim { return newSim(prog, true) }
 // memory ranges are reserved: every access walks the page map. This was
 // the only configuration before the memory fast path existed; it is kept
 // so baseline benchmarks can price the pre-optimization interpreter
-// (see trace.RecordStreamBaseline).
+// (see trace.RecordStreamBaselineContext).
 func NewPaged(prog *isa.Program) *Sim { return newSim(prog, false) }
 
 func newSim(prog *isa.Program, reserve bool) *Sim {

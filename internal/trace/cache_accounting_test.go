@@ -13,7 +13,6 @@ import (
 func buildCompressedStream(t *testing.T, n int) *Stream {
 	t.Helper()
 	s := NewStream()
-	s.compress = true
 	for i := 0; i < n; i++ {
 		kind := KindLoad
 		if i%3 == 0 {

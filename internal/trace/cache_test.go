@@ -12,12 +12,12 @@ import (
 	"rarpred/internal/runerr"
 )
 
-// fullStream returns a stream occupying exactly chunks full chunks,
-// kept raw (unsealed) so its Bytes() is the exact chunkBytes multiple
-// the budget arithmetic below depends on.
+// fullStream returns a stream of chunks full chunks, left unsealed so
+// its raw tail is charged at exactly chunkBytes: fullStream(1) costs
+// chunkBytes, the figure the budget arithmetic below depends on, and a
+// longer stream costs that plus its sealed chunks' packed bytes.
 func fullStream(chunks int) *Stream {
 	s := NewStream()
-	s.compress = false
 	for i := 0; i < chunks*chunkEvents; i++ {
 		s.Append(KindLoad, 0, 0, 0)
 	}

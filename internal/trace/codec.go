@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Chunk compression: sealed chunks hold a columnar varint encoding of
@@ -88,22 +87,6 @@ const (
 )
 
 func predIdx(ctx uint32) uint32 { return (ctx >> 2) & predMask }
-
-// compressionOn is the process-wide default captured by NewStream /
-// NewIStream: whether chunks seal (compress) as they fill. The
-// -tracecompress=off escape hatch clears it to keep the raw path alive
-// for A/B runs.
-var compressionOn atomic.Bool
-
-func init() { compressionOn.Store(true) }
-
-// SetCompression turns chunk compression on or off for streams created
-// afterwards and returns the previous setting (so callers can restore
-// it). Existing streams keep the mode they were created with.
-func SetCompression(on bool) (prev bool) { return compressionOn.Swap(on) }
-
-// CompressionEnabled reports the current process-wide setting.
-func CompressionEnabled() bool { return compressionOn.Load() }
 
 // eventScratch is one chunk's worth of raw event columns. It backs both
 // a recording stream's tail chunk and a replay's decode buffer, so

@@ -212,45 +212,50 @@ func TestAppendPackedChunkRejects(t *testing.T) {
 	}
 }
 
-// TestSealedReplayMatchesRaw records the same events into a compressed
-// and an uncompressed stream and proves every replay surface agrees.
+// TestSealedReplayMatchesRaw records events into a sealed multi-chunk
+// stream and proves every replay surface (lockstep Replay, the
+// chunk-granular ReplayChunks walk, concurrent ReplayEach) yields
+// exactly the appended events, while the stream stays smaller than
+// their raw payload.
 func TestSealedReplayMatchesRaw(t *testing.T) {
-	prev := SetCompression(true)
-	defer SetCompression(prev)
-	comp := NewStream()
-	SetCompression(false)
-	raw := NewStream()
+	s := NewStream()
 	n := chunkEvents*2 + chunkEvents/3
+	want := make([]event, 0, n)
 	for i := 0; i < n; i++ {
 		k := KindLoad
 		if i%7 == 3 {
 			k = KindStore
 		}
-		pc := uint32(i) * 4
-		addr := uint32(i%4096) * 8
-		val := uint32(i * i)
-		comp.Append(k, pc, addr, val)
-		raw.Append(k, pc, addr, val)
+		e := event{k, uint32(i) * 4, uint32(i%4096) * 8, uint32(i * i)}
+		s.Append(e.kind, e.pc, e.addr, e.value)
+		want = append(want, e)
 	}
-	comp.Seal()
-	comp.CheckInvariants()
-	raw.CheckInvariants()
-	if comp.Len() != raw.Len() || comp.Loads() != raw.Loads() {
-		t.Fatalf("tallies diverge: %d/%d vs %d/%d", comp.Len(), comp.Loads(), raw.Len(), raw.Loads())
+	s.Seal()
+	s.CheckInvariants()
+	if s.Bytes() >= s.RawBytes() {
+		t.Fatalf("sealed stream (%d bytes) not smaller than its raw payload (%d)", s.Bytes(), s.RawBytes())
 	}
-	if comp.Bytes() >= raw.Bytes() {
-		t.Fatalf("sealed stream (%d bytes) not smaller than raw (%d)", comp.Bytes(), raw.Bytes())
-	}
-	if err := DiffStreams(comp, raw); err != nil {
-		t.Fatalf("sealed and raw streams diverge: %v", err)
-	}
+
+	t.Run("Replay", func(t *testing.T) { equalEvents(t, streamEvents(s), want) })
+	t.Run("ReplayChunks", func(t *testing.T) {
+		var got []event
+		snk := collect(&got)
+		for c := 0; c < s.NumChunks(); c++ {
+			s.ReplayChunks(c, c+1, snk)
+		}
+		equalEvents(t, got, want)
+	})
+	t.Run("ReplayEach", func(t *testing.T) {
+		var a, b []event
+		s.ReplayEach(collect(&a), collect(&b))
+		equalEvents(t, a, want)
+		equalEvents(t, b, want)
+	})
 }
 
 // TestReplayAllocs: steady-state replay of a sealed stream must not
 // allocate — chunk decode goes through the scratch pool.
 func TestReplayAllocs(t *testing.T) {
-	prev := SetCompression(true)
-	defer SetCompression(prev)
 	s := NewStream()
 	for i := 0; i < chunkEvents*2; i++ {
 		s.Append(KindLoad, uint32(i)*4, uint32(i)*8, uint32(i))
@@ -296,46 +301,32 @@ func TestReplayAllocs(t *testing.T) {
 	}
 }
 
-// benchReplayStream builds an 8-chunk stream in the given compression
-// mode with committed-trace-like regularity (near-sequential pcs,
-// strided addresses, low-entropy values).
-func benchReplayStream(compress bool) *Stream {
-	prev := SetCompression(compress)
-	defer SetCompression(prev)
-	s := NewStream()
-	for i := 0; i < chunkEvents*8; i++ {
-		k := KindLoad
-		if i%3 == 0 {
-			k = KindStore
-		}
-		s.Append(k, uint32(i)*4, uint32((i*13)%65536)*4, uint32(i%257))
-	}
-	s.Seal()
-	return s
-}
-
-// BenchmarkReplay compares replay throughput over raw chunks against
-// sealed (compressed) ones; -benchmem must report 0 allocs/op for both
-// — the sealed path decodes through the scratch pool.
+// BenchmarkReplay measures replay throughput over an 8-chunk sealed
+// stream with committed-trace-like regularity (near-sequential pcs,
+// strided addresses, low-entropy values); -benchmem must report 0
+// allocs/op — chunk decode goes through the scratch pool.
 func BenchmarkReplay(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		compress bool
-	}{{"raw", false}, {"sealed", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := benchReplayStream(mode.compress)
-			var acc uint64
-			count := func(_, _, v uint32) { acc += uint64(v) }
-			var snk Sink = SinkFuncs{OnLoad: count, OnStore: count}
-			s.ReplayChunks(0, s.NumChunks(), snk) // warm the pools
-			b.SetBytes(int64(s.Len()) * eventBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.ReplayChunks(0, s.NumChunks(), snk)
+	b.Run("sealed", func(b *testing.B) {
+		s := NewStream()
+		for i := 0; i < chunkEvents*8; i++ {
+			k := KindLoad
+			if i%3 == 0 {
+				k = KindStore
 			}
-		})
-	}
+			s.Append(k, uint32(i)*4, uint32((i*13)%65536)*4, uint32(i%257))
+		}
+		s.Seal()
+		var acc uint64
+		count := func(_, _, v uint32) { acc += uint64(v) }
+		var snk Sink = SinkFuncs{OnLoad: count, OnStore: count}
+		s.ReplayChunks(0, s.NumChunks(), snk) // warm the pools
+		b.SetBytes(int64(s.Len()) * eventBytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.ReplayChunks(0, s.NumChunks(), snk)
+		}
+	})
 }
 
 // FuzzChunkCodecRoundTrip drives both codecs from arbitrary bytes in

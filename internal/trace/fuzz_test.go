@@ -9,54 +9,59 @@ import (
 var errRecording = errors.New("injected recording failure")
 
 // FuzzStreamRoundTrip builds a stream from arbitrary bytes, checks its
-// chunk invariants, and proves the binary format round-trips: Stream →
-// Trace → Save → Load reproduces every event and the instruction count.
-// The same input is also tried directly as a save file; anything Load
-// accepts must re-save byte-identically.
+// chunk invariants, and proves the store's path round-trips it:
+// PackedChunk → AppendPackedChunk rebuilds a stream identical to the
+// original (DiffStreams) that replays exactly the appended events, and
+// the raw tail's on-the-fly encoding equals its sealed payload. The
+// same input is also tried directly as a packed chunk; anything
+// AppendPackedChunk accepts must satisfy the invariants and replay its
+// tallied events.
 func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add([]byte("roundtrip"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte("RAR\x01garbage-after-magic"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStream()
+		var want []event
 		for i := 0; i+3 < len(data); i += 4 {
-			kind := KindLoad
+			e := event{KindLoad, uint32(data[i+1]) << 2, uint32(data[i+2]), uint32(data[i+3])}
 			if data[i]&1 == 1 {
-				kind = KindStore
+				e.kind = KindStore
 			}
-			s.Append(kind, uint32(data[i+1])<<2, uint32(data[i+2]), uint32(data[i+3]))
+			s.Append(e.kind, e.pc, e.addr, e.value)
+			want = append(want, e)
 		}
 		s.CheckInvariants()
 
-		tr := s.Trace()
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			t.Fatalf("save: %v", err)
+		var payloads [][]byte
+		back := NewStream()
+		for c := 0; c < s.NumChunks(); c++ {
+			p := s.PackedChunk(c, nil)
+			payloads = append(payloads, p)
+			if err := back.AppendPackedChunk(p); err != nil {
+				t.Fatalf("chunk %d: our own payload rejected: %v", c, err)
+			}
 		}
-		back, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("load of our own save: %v", err)
+		back.CheckInvariants()
+		if err := DiffStreams(back, s); err != nil {
+			t.Fatalf("round trip: %v", err)
 		}
-		if back.Insts != tr.Insts || len(back.Events) != len(tr.Events) {
-			t.Fatalf("round trip: %d events/%d insts, want %d/%d",
-				len(back.Events), back.Insts, len(tr.Events), tr.Insts)
-		}
-		for i := range tr.Events {
-			if back.Events[i] != tr.Events[i] {
-				t.Fatalf("event %d: %+v != %+v", i, back.Events[i], tr.Events[i])
+		equalEvents(t, streamEvents(back), want)
+
+		s.Seal()
+		for c, p := range payloads {
+			if got := s.PackedChunk(c, nil); !bytes.Equal(got, p) {
+				t.Fatalf("chunk %d: sealed payload differs from the raw encoding", c)
 			}
 		}
 
-		// Arbitrary bytes as a save file: Load may reject them, but must
-		// not accept something it cannot reproduce.
-		if alien, err := Load(bytes.NewReader(data)); err == nil {
-			var resaved bytes.Buffer
-			if err := alien.Save(&resaved); err != nil {
-				t.Fatalf("re-save of accepted input: %v", err)
-			}
-			reload, err := Load(&resaved)
-			if err != nil || len(reload.Events) != len(alien.Events) {
-				t.Fatalf("accepted input does not round-trip: %v", err)
+		// Arbitrary bytes as a packed chunk: AppendPackedChunk may reject
+		// them, but must not accept something it cannot replay.
+		alien := NewStream()
+		if err := alien.AppendPackedChunk(data); err == nil {
+			alien.CheckInvariants()
+			if got := len(streamEvents(alien)); got != alien.Len() {
+				t.Fatalf("accepted chunk replays %d events, tallies %d", got, alien.Len())
 			}
 		}
 	})

@@ -23,18 +23,13 @@ import (
 // accounting so recordings can live in the memory-bounded Cache. An
 // IStream is append-only while recording and immutable afterwards;
 // cursors over it are safe from many goroutines at once. Chunks seal
-// (compress, per codec.go) as they fill when compression is enabled,
-// exactly like Stream's.
+// (compress, per codec.go) as they fill, exactly like Stream's.
 type IStream struct {
 	ichunks []*pairChunk // one (idx, next) record per committed instruction
 	mchunks []*pairChunk // one (addr, value) record per committed load or store
 
 	n    uint64 // committed instructions
 	mems uint64 // memory events among them
-
-	// compress is captured from the package-wide setting at NewIStream:
-	// whether chunks seal as they fill.
-	compress bool
 
 	// Counts is the full dynamic execution profile of the traced run,
 	// recorded so Validate can cross-check the tallies and so consumers
@@ -48,9 +43,9 @@ type IStream struct {
 
 // pairChunk holds a fixed-capacity block of two-column records — the
 // per-instruction (idx, next) plane and the memory (addr, value) plane
-// share the shape. While raw, the column slices are live (backed by a
-// pooled pairScratch); once sealed, packed holds the compressed payload
-// and the raw columns are recycled.
+// share the shape. Only a plane's recording tail is raw: its column
+// slices are live (backed by a pooled pairScratch); once sealed, packed
+// holds the compressed payload and the raw columns are recycled.
 type pairChunk struct {
 	a []uint32
 	b []uint32
@@ -108,14 +103,14 @@ func (c *pairChunk) columns(sc *pairScratch) (a, b []uint32) {
 }
 
 // appendPair adds one record to the chunk plane, sealing the tail when
-// it fills (if compress) and growing the plane as needed.
-func appendPair(chunks []*pairChunk, compress bool, a, b uint32) []*pairChunk {
+// it fills and growing the plane as needed.
+func appendPair(chunks []*pairChunk, a, b uint32) []*pairChunk {
 	var c *pairChunk
 	if len(chunks) > 0 {
 		c = chunks[len(chunks)-1]
 	}
 	if c == nil || c.packed != nil || len(c.a) == chunkEvents {
-		if c != nil && compress {
+		if c != nil {
 			c.seal()
 		}
 		c = newPairChunk()
@@ -127,12 +122,12 @@ func appendPair(chunks []*pairChunk, compress bool, a, b uint32) []*pairChunk {
 }
 
 // NewIStream returns an empty instruction stream ready for appends.
-func NewIStream() *IStream { return &IStream{compress: CompressionEnabled()} }
+func NewIStream() *IStream { return &IStream{} }
 
 // AppendInst adds one committed instruction: its predecoded index and
 // the PC that followed it.
 func (s *IStream) AppendInst(idx, next uint32) {
-	s.ichunks = appendPair(s.ichunks, s.compress, idx, next)
+	s.ichunks = appendPair(s.ichunks, idx, next)
 	s.n++
 }
 
@@ -140,18 +135,14 @@ func (s *IStream) AppendInst(idx, next uint32) {
 // address and the word read or written), owned by the next appended (or
 // just-appended) memory instruction.
 func (s *IStream) AppendMem(addr, value uint32) {
-	s.mchunks = appendPair(s.mchunks, s.compress, addr, value)
+	s.mchunks = appendPair(s.mchunks, addr, value)
 	s.mems++
 }
 
 // Seal compresses the partial tail chunk of both planes; recorders call
-// it when recording completes so a finished stream is fully packed. A
-// no-op when compression is off; later appends simply start new raw
-// chunks.
+// it when recording completes so a finished stream is fully packed;
+// later appends simply start new raw chunks.
 func (s *IStream) Seal() {
-	if !s.compress {
-		return
-	}
 	if len(s.ichunks) > 0 {
 		s.ichunks[len(s.ichunks)-1].seal()
 	}
@@ -172,8 +163,8 @@ const istreamEntryBytes = 8
 
 // Bytes returns the resident size of the stream in bytes: the packed
 // payload for sealed chunks, full chunk capacity (allocation, not
-// occupancy) for raw ones — so the cache budget reflects real memory
-// use in either mode.
+// occupancy) for a raw recording tail — so the cache budget reflects
+// real memory use.
 func (s *IStream) Bytes() int64 {
 	var b int64
 	for _, planes := range [2][]*pairChunk{s.ichunks, s.mchunks} {
@@ -228,7 +219,7 @@ func packedPair(c *pairChunk, dst []byte) []byte {
 // Chunks must arrive in stream order; the error reports the first
 // structural defect without modifying the stream.
 func (s *IStream) AppendPackedInstChunk(payload []byte) error {
-	c, n, err := decodePackedPair(payload, s.compress)
+	c, n, err := decodePackedPair(payload)
 	if err != nil {
 		return err
 	}
@@ -240,7 +231,7 @@ func (s *IStream) AppendPackedInstChunk(payload []byte) error {
 // AppendPackedMemChunk validates payload as one packed pair chunk and
 // appends it to the memory plane, updating the memory tally.
 func (s *IStream) AppendPackedMemChunk(payload []byte) error {
-	c, n, err := decodePackedPair(payload, s.compress)
+	c, n, err := decodePackedPair(payload)
 	if err != nil {
 		return err
 	}
@@ -249,22 +240,18 @@ func (s *IStream) AppendPackedMemChunk(payload []byte) error {
 	return nil
 }
 
-func decodePackedPair(payload []byte, compress bool) (*pairChunk, int, error) {
+// decodePackedPair validates payload as one packed pair chunk and
+// returns it as a sealed chunk holding a copy of the exact payload.
+func decodePackedPair(payload []byte) (*pairChunk, int, error) {
 	sc := getPairScratch()
 	defer putPairScratch(sc)
 	if err := decodePairChunk(payload, sc); err != nil {
 		return nil, 0, err
 	}
 	n := len(sc.a)
-	if compress {
-		packed := make([]byte, len(payload))
-		copy(packed, payload)
-		return &pairChunk{packed: packed, n: n}, n, nil
-	}
-	c := newPairChunk()
-	c.a = append(c.a, sc.a...)
-	c.b = append(c.b, sc.b...)
-	return c, n, nil
+	packed := make([]byte, len(payload))
+	copy(packed, payload)
+	return &pairChunk{packed: packed, n: n}, n, nil
 }
 
 // Validate cross-checks the recorded tallies against the execution

@@ -27,18 +27,14 @@ func TestIStreamAppendCursor(t *testing.T) {
 	if want := uint64((n + 1) / 2); s.MemEvents() != want {
 		t.Fatalf("MemEvents() = %d, want %d", s.MemEvents(), want)
 	}
-	// 2 instruction chunks + 1 memory chunk. Raw chunks are charged at
+	// 2 instruction chunks + 1 memory chunk. Raw tails are charged at
 	// full capacity; the first instruction chunk sealed (compressed) on
-	// rollover when compression is on, shrinking the resident total.
+	// rollover, shrinking the resident total.
 	if want := int64(s.n+s.mems) * istreamEntryBytes; s.RawBytes() != want {
 		t.Errorf("RawBytes() = %d, want %d", s.RawBytes(), want)
 	}
-	if full := int64(3) * chunkEvents * istreamEntryBytes; s.compress {
-		if s.Bytes() >= full {
-			t.Errorf("Bytes() = %d, want < %d (sealed chunk should compress)", s.Bytes(), full)
-		}
-	} else if s.Bytes() != full {
-		t.Errorf("Bytes() = %d, want %d", s.Bytes(), full)
+	if full := int64(3) * chunkEvents * istreamEntryBytes; s.Bytes() >= full {
+		t.Errorf("Bytes() = %d, want < %d (sealed chunk should compress)", s.Bytes(), full)
 	}
 	s.CheckInvariants()
 

@@ -8,10 +8,9 @@ import (
 )
 
 func buildStream(n int) *Stream {
+	// Left unsealed: the tests below corrupt and compare the raw tail
+	// chunk's columns directly.
 	s := NewStream()
-	// Raw chunks throughout: these tests corrupt and compare chunk
-	// internals directly, which only exist unsealed.
-	s.compress = false
 	for i := 0; i < n; i++ {
 		kind := KindLoad
 		if i%3 == 0 {
@@ -33,9 +32,9 @@ func TestStreamInvariantsClean(t *testing.T) {
 
 func TestStreamInvariantsCatchCorruption(t *testing.T) {
 	s := buildStream(chunkEvents + 10)
-	s.chunks[0].kinds = s.chunks[0].kinds[:chunkEvents-1] // interior chunk no longer full
+	s.chunks[0], s.chunks[1] = s.chunks[1], s.chunks[0] // raw chunk no longer the tail
 	if v := check.Catch(func() { s.CheckInvariants() }); v == nil || v.Site != "stream.chunk" {
-		t.Fatalf("short interior chunk not caught: %v", v)
+		t.Fatalf("raw interior chunk not caught: %v", v)
 	}
 
 	s = buildStream(100)

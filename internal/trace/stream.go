@@ -14,29 +14,24 @@ import (
 // Stream is the compact in-memory form of a committed access stream: a
 // chunked struct-of-arrays layout (kind, PC, address, value in separate
 // slices) that replays to any number of observers without re-executing
-// the program. Compared to []Event it has no per-event padding, grows in
-// fixed-size chunks (no doubling spikes), and keeps exact byte-size
-// accounting so streams can live in a memory-bounded cache.
+// the program. It has no per-event padding, grows in fixed-size chunks
+// (no doubling spikes), and keeps exact byte-size accounting so streams
+// can live in a memory-bounded cache.
 //
 // A Stream is append-only while recording and immutable afterwards;
 // replaying is safe from many goroutines at once.
 //
-// Recording appends into raw struct-of-arrays chunks (the fast path);
-// when compression is enabled, a chunk seals — compresses to the
-// columnar delta/varint form in codec.go — as soon as it fills, and
-// Seal compresses the partial tail when recording completes. Replay
-// decodes one sealed chunk at a time into a pooled scratch buffer, so
-// resident memory is the compressed bytes plus at most one decoded
-// chunk per active consumer.
+// Recording appends into a raw struct-of-arrays tail chunk; a chunk
+// seals — compresses to the columnar delta/varint form in codec.go — as
+// soon as it fills, and Seal compresses the partial tail when recording
+// completes. Replay decodes one sealed chunk at a time into a pooled
+// scratch buffer, so resident memory is the compressed bytes plus at
+// most one decoded chunk per active consumer.
 type Stream struct {
 	chunks []*chunk
 
 	n     int    // total events
 	loads uint64 // load events among n
-
-	// compress is captured from the package-wide setting at NewStream:
-	// whether chunks seal as they fill.
-	compress bool
 
 	// Counts is the full dynamic execution profile of the traced run, so
 	// experiments that report fractions over all instructions (or branch
@@ -52,10 +47,10 @@ type Stream struct {
 // event; one chunk is ~832 KiB of payload).
 const chunkEvents = 1 << 16
 
-// chunk holds a fixed-capacity struct-of-arrays block. While raw, the
-// four column slices are live (backed by a pooled eventScratch); once
-// sealed, packed holds the compressed payload, n the event count, and
-// the raw columns are recycled.
+// chunk holds a fixed-capacity struct-of-arrays block. Only the
+// recording tail is raw: its four column slices are live (backed by a
+// pooled eventScratch); once sealed, packed holds the compressed
+// payload, n the event count, and the raw columns are recycled.
 type chunk struct {
 	kinds  []uint8
 	pcs    []uint32
@@ -127,7 +122,7 @@ func (c *chunk) columns(scp **eventScratch) (kinds []uint8, pcs, addrs, values [
 }
 
 // NewStream returns an empty stream ready for Append.
-func NewStream() *Stream { return &Stream{compress: CompressionEnabled()} }
+func NewStream() *Stream { return &Stream{} }
 
 // Append adds one event to the stream.
 func (s *Stream) Append(kind Kind, pc, addr, value uint32) {
@@ -136,7 +131,7 @@ func (s *Stream) Append(kind Kind, pc, addr, value uint32) {
 		c = s.chunks[len(s.chunks)-1]
 	}
 	if c == nil || c.packed != nil || len(c.kinds) == chunkEvents {
-		if c != nil && s.compress {
+		if c != nil {
 			c.seal()
 		}
 		c = newChunk()
@@ -160,10 +155,10 @@ func (s *Stream) Append(kind Kind, pc, addr, value uint32) {
 
 // Seal compresses the partial tail chunk; recorders call it when
 // recording completes so a finished stream is fully packed. A no-op
-// when compression is off or the tail is already sealed; later Appends
-// simply start a new raw chunk.
+// when the tail is already sealed; later Appends simply start a new raw
+// chunk.
 func (s *Stream) Seal() {
-	if !s.compress || len(s.chunks) == 0 {
+	if len(s.chunks) == 0 {
 		return
 	}
 	s.chunks[len(s.chunks)-1].seal()
@@ -181,8 +176,8 @@ const eventBytes = 13
 
 // Bytes returns the resident size of the stream in bytes: the packed
 // payload for sealed chunks, full chunk capacity (allocation, not
-// occupancy) for raw ones — so the cache budget reflects real memory
-// use in either mode.
+// occupancy) for a raw recording tail — so the cache budget reflects
+// real memory use.
 func (s *Stream) Bytes() int64 {
 	var b int64
 	for _, c := range s.chunks {
@@ -340,25 +335,6 @@ func (s *Stream) Validate() error {
 	return nil
 }
 
-// Trace converts the stream to the array-of-structs form used by the
-// binary file format (Save/Load).
-func (s *Stream) Trace() *Trace {
-	t := &Trace{Events: make([]Event, 0, s.n), Insts: s.Counts.Insts}
-	var sc *eventScratch
-	for _, c := range s.chunks {
-		kinds, pcs, addrs, values := c.columns(&sc)
-		for i, k := range kinds {
-			t.Events = append(t.Events, Event{
-				Kind: Kind(k), PC: pcs[i], Addr: addrs[i], Value: values[i],
-			})
-		}
-	}
-	if sc != nil {
-		putEventScratch(sc)
-	}
-	return t
-}
-
 // PackedChunk appends the canonical packed payload of chunk ci to dst
 // and returns the extended slice. A sealed chunk's stored payload is
 // copied verbatim; a raw chunk encodes on the fly — the encoder is
@@ -374,10 +350,9 @@ func (s *Stream) PackedChunk(ci int, dst []byte) []byte {
 
 // AppendPackedChunk validates payload as one packed event chunk and
 // appends it to the stream, updating the event tallies from the decoded
-// contents. When compression is on, the exact payload bytes become the
-// sealed chunk; when off, the decoded raw columns are kept. Chunks must
-// arrive in stream order; the error reports the first structural defect
-// without modifying the stream.
+// contents; the exact payload bytes become the sealed chunk. Chunks
+// must arrive in stream order; the error reports the first structural
+// defect without modifying the stream.
 func (s *Stream) AppendPackedChunk(payload []byte) error {
 	sc := getEventScratch()
 	defer putEventScratch(sc)
@@ -386,19 +361,9 @@ func (s *Stream) AppendPackedChunk(payload []byte) error {
 		return err
 	}
 	n := len(sc.kinds)
-	var c *chunk
-	if s.compress {
-		packed := make([]byte, len(payload))
-		copy(packed, payload)
-		c = &chunk{packed: packed, n: n}
-	} else {
-		c = newChunk()
-		c.kinds = append(c.kinds, sc.kinds...)
-		c.pcs = append(c.pcs, sc.pcs...)
-		c.addrs = append(c.addrs, sc.addrs...)
-		c.values = append(c.values, sc.values...)
-	}
-	s.chunks = append(s.chunks, c)
+	packed := make([]byte, len(payload))
+	copy(packed, payload)
+	s.chunks = append(s.chunks, &chunk{packed: packed, n: n})
 	s.n += n
 	s.loads += uint64(loads)
 	return nil
@@ -428,7 +393,7 @@ func (s SinkFuncs) Store(pc, addr, value uint32) {
 // RecordStream executes prog functionally (up to maxInsts; 0 = to
 // completion) and returns its committed memory stream. An exhausted
 // instruction budget is reported through Stream.Truncated, not as an
-// error, matching Record.
+// error.
 func RecordStream(prog *isa.Program, maxInsts uint64) (*Stream, error) {
 	return RecordStreamContext(context.Background(), prog, maxInsts, nil)
 }
@@ -456,22 +421,16 @@ func RecordStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint64
 	return s, nil
 }
 
-// RecordStreamBaseline records the same stream as RecordStream, but the
-// way every experiment did before the shared cache existed: Step-driven
-// interpretation over fully paged memory, with no predecoded fast loop
-// and no flat-range reservation. Experiments' Live (pre-cache) mode and
-// the suite benchmark use it as the baseline cost model; because Step
-// and the fast loop funnel through the same exec core, the recorded
-// stream is bit-identical to RecordStream's.
-func RecordStreamBaseline(prog *isa.Program, maxInsts uint64) (*Stream, error) {
-	return RecordStreamBaselineContext(context.Background(), prog, maxInsts)
-}
-
-// RecordStreamBaselineContext is RecordStreamBaseline with cancellation,
-// polled every funcsim.InterruptEvery committed instructions like the
-// fast path. It backs the harness's graceful-degradation re-record (a
-// corrupt cached stream falls back here) and the Live mode, both of
-// which must stay interruptible under run deadlines.
+// RecordStreamBaselineContext records the same stream as RecordStream,
+// but the way every experiment did before the shared cache existed:
+// Step-driven interpretation over fully paged memory, with no
+// predecoded fast loop and no flat-range reservation. Because Step and
+// the fast loop funnel through the same exec core, the recorded stream
+// is bit-identical to RecordStream's. It is the -check oracle's
+// independent recording, backs the harness's graceful-degradation
+// re-record (a corrupt cached stream falls back here) and the Live
+// mode, and is polled for cancellation every funcsim.InterruptEvery
+// committed instructions like the fast path.
 func RecordStreamBaselineContext(ctx context.Context, prog *isa.Program, maxInsts uint64) (*Stream, error) {
 	s := NewStream()
 	sim := funcsim.NewPaged(prog)

@@ -24,18 +24,14 @@ func TestStreamAppendReplay(t *testing.T) {
 	if s.Loads() != wantLoads {
 		t.Errorf("Loads() = %d, want %d", s.Loads(), wantLoads)
 	}
-	// Appending seals full chunks as it rolls over (when compression is
-	// on), so a multi-chunk stream's resident size is well under the raw
-	// layout's; the raw payload tally is exact either way.
+	// Appending seals full chunks as it rolls over, so a multi-chunk
+	// stream's resident size is well under the raw layout's; the raw
+	// payload tally is exact.
 	if want := int64(n) * eventBytes; s.RawBytes() != want {
 		t.Errorf("RawBytes() = %d, want %d", s.RawBytes(), want)
 	}
-	if s.compress {
-		if raw := int64(2) * chunkEvents * eventBytes; s.Bytes() >= raw {
-			t.Errorf("Bytes() = %d, want < %d (sealed chunk should compress)", s.Bytes(), raw)
-		}
-	} else if want := int64(2) * chunkEvents * eventBytes; s.Bytes() != want {
-		t.Errorf("Bytes() = %d, want %d (2 full chunks)", s.Bytes(), want)
+	if raw := int64(2) * chunkEvents * eventBytes; s.Bytes() >= raw {
+		t.Errorf("Bytes() = %d, want < %d (sealed chunk should compress)", s.Bytes(), raw)
 	}
 
 	var i int
@@ -191,35 +187,26 @@ func TestReplayEachPanicPropagates(t *testing.T) {
 	s.ReplayEach(ok, bad, ok)
 }
 
-// TestRecordStreamMatchesRecord: the struct-of-arrays recorder produces
-// the same event sequence as the array-of-structs one.
+// TestRecordStreamMatchesRecord: a recording long enough to seal
+// several chunks replays exactly the accesses a plain funcsim run
+// commits, with the run's full execution profile.
 func TestRecordStreamMatchesRecord(t *testing.T) {
-	w, _ := workload.ByAbbrev("per")
-	tr, err := Record(w.Program(4), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := RecordStream(w.Program(4), 0)
+	w, _ := workload.ByAbbrev("go")
+	s, err := RecordStream(w.Program(30), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Truncated {
 		t.Error("complete run marked Truncated")
 	}
-	if s.Len() != len(tr.Events) {
-		t.Fatalf("event count: %d vs %d", s.Len(), len(tr.Events))
+	if s.NumChunks() < 3 {
+		t.Fatalf("recording holds %d chunk(s); the test needs sealed interior chunks", s.NumChunks())
 	}
-	if s.Counts.Insts != tr.Insts {
-		t.Errorf("insts: %d vs %d", s.Counts.Insts, tr.Insts)
-	}
-	got := s.Trace()
-	for i := range tr.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, got.Events[i], tr.Events[i])
-		}
-	}
-	if got.Insts != tr.Insts {
-		t.Errorf("Trace().Insts = %d, want %d", got.Insts, tr.Insts)
+	s.CheckInvariants()
+	direct, counts := observe(t, w.Program(30))
+	equalEvents(t, streamEvents(s), direct)
+	if s.Counts != counts {
+		t.Errorf("counts: %+v, want %+v", s.Counts, counts)
 	}
 }
 

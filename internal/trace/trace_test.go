@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/funcsim"
+	"rarpred/internal/isa"
 	"rarpred/internal/workload"
 )
 
@@ -15,60 +15,88 @@ type engineSink struct{ e *cloak.Engine }
 func (s engineSink) Load(pc, addr, value uint32)  { s.e.Load(pc, addr, value) }
 func (s engineSink) Store(pc, addr, value uint32) { s.e.Store(pc, addr, value) }
 
-func record(t *testing.T) *Trace {
+// event is one committed memory access as the tests compare it.
+type event struct {
+	kind            Kind
+	pc, addr, value uint32
+}
+
+// observe runs prog to completion on a plain funcsim and collects its
+// committed accesses straight from the callbacks: the reference every
+// recorder must reproduce.
+func observe(t *testing.T, prog *isa.Program) ([]event, funcsim.Counts) {
 	t.Helper()
-	w, _ := workload.ByAbbrev("per")
-	tr, err := Record(w.Program(4), 0)
+	var evs []event
+	s := funcsim.New(prog)
+	s.OnLoad = func(e funcsim.MemEvent) { evs = append(evs, event{KindLoad, e.PC, e.Addr, e.Value}) }
+	s.OnStore = func(e funcsim.MemEvent) { evs = append(evs, event{KindStore, e.PC, e.Addr, e.Value}) }
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	return evs, s.Counts
+}
+
+// collect returns a sink appending every replayed event to *evs.
+func collect(evs *[]event) Sink {
+	return SinkFuncs{
+		OnLoad:  func(pc, addr, value uint32) { *evs = append(*evs, event{KindLoad, pc, addr, value}) },
+		OnStore: func(pc, addr, value uint32) { *evs = append(*evs, event{KindStore, pc, addr, value}) },
+	}
+}
+
+// streamEvents replays s into a slice.
+func streamEvents(s *Stream) []event {
+	evs := make([]event, 0, s.Len())
+	s.Replay(collect(&evs))
+	return evs
+}
+
+// equalEvents fails t at the first difference between got and want.
+func equalEvents(t *testing.T, got, want []event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("event count: %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func record(t *testing.T, abbrev string, size int) *Stream {
+	t.Helper()
+	w, _ := workload.ByAbbrev(abbrev)
+	s, err := RecordStream(w.Program(size), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return s
 }
 
 func TestRecordMatchesDirectObservation(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
-	tr := record(t)
-
-	var direct []Event
-	s := funcsim.New(w.Program(4))
-	s.OnLoad = func(e funcsim.MemEvent) {
-		direct = append(direct, Event{Kind: KindLoad, PC: e.PC, Addr: e.Addr, Value: e.Value})
-	}
-	s.OnStore = func(e funcsim.MemEvent) {
-		direct = append(direct, Event{Kind: KindStore, PC: e.PC, Addr: e.Addr, Value: e.Value})
-	}
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(direct) != len(tr.Events) {
-		t.Fatalf("event count: %d vs %d", len(direct), len(tr.Events))
-	}
-	for i := range direct {
-		if direct[i] != tr.Events[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, direct[i], tr.Events[i])
-		}
-	}
-	if tr.Insts != s.Counts.Insts {
-		t.Errorf("insts: %d vs %d", tr.Insts, s.Counts.Insts)
+	s := record(t, "per", 4)
+	direct, counts := observe(t, w.Program(4))
+	equalEvents(t, streamEvents(s), direct)
+	if s.Counts != counts {
+		t.Errorf("counts: %+v, want %+v", s.Counts, counts)
 	}
 }
 
-// TestReplayEqualsLive: a replayed trace drives the engine to the exact
+// TestReplayEqualsLive: a replayed stream drives the engine to the exact
 // same statistics as live simulation.
 func TestReplayEqualsLive(t *testing.T) {
 	w, _ := workload.ByAbbrev("gcc")
-	tr, err := Record(w.Program(4), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := record(t, "gcc", 4)
 	replayed := cloak.New(cloak.DefaultConfig())
-	tr.Replay(engineSink{replayed})
+	s.Replay(engineSink{replayed})
 
 	live := cloak.New(cloak.DefaultConfig())
-	s := funcsim.New(w.Program(4))
-	s.OnLoad = func(e funcsim.MemEvent) { live.Load(e.PC, e.Addr, e.Value) }
-	s.OnStore = func(e funcsim.MemEvent) { live.Store(e.PC, e.Addr, e.Value) }
-	if err := s.Run(0); err != nil {
+	sim := funcsim.New(w.Program(4))
+	sim.OnLoad = func(e funcsim.MemEvent) { live.Load(e.PC, e.Addr, e.Value) }
+	sim.OnStore = func(e funcsim.MemEvent) { live.Store(e.PC, e.Addr, e.Value) }
+	if err := sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if replayed.Stats() != live.Stats() {
@@ -76,81 +104,16 @@ func TestReplayEqualsLive(t *testing.T) {
 	}
 }
 
-// TestReplayFanOut: one trace drives several engines at once.
+// TestReplayFanOut: one stream drives several engines at once.
 func TestReplayFanOut(t *testing.T) {
-	tr := record(t)
+	s := record(t, "per", 4)
 	raw := cloak.New(cloak.Config{DDTCapacity: 128, Mode: cloak.ModeRAW, Confidence: cloak.Adaptive2Bit})
 	both := cloak.New(cloak.DefaultConfig())
-	tr.Replay(engineSink{raw}, engineSink{both})
+	s.Replay(engineSink{raw}, engineSink{both})
 	if raw.Stats().Loads != both.Stats().Loads {
 		t.Error("sinks saw different event counts")
 	}
 	if both.Stats().Covered() < raw.Stats().Covered() {
-		t.Error("RAW+RAR covered less than RAW on the same trace")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := record(t)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wantSize := 4 + 16 + 13*len(tr.Events)
-	if buf.Len() != wantSize {
-		t.Errorf("encoded size %d, want %d", buf.Len(), wantSize)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Insts != tr.Insts || len(got.Events) != len(tr.Events) {
-		t.Fatalf("header mismatch: %d/%d vs %d/%d",
-			got.Insts, len(got.Events), tr.Insts, len(tr.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d mismatch", i)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("not a trace"),
-		{'R', 'A', 'R', 9, 0, 0, 0, 0}, // wrong version
-	}
-	for _, c := range cases {
-		if _, err := Load(bytes.NewReader(c)); err == nil {
-			t.Errorf("Load(%q) succeeded", c)
-		}
-	}
-	// Truncated body.
-	tr := record(t)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Load(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated trace accepted")
-	}
-	// Implausible count.
-	hdr := append([]byte{}, buf.Bytes()[:20]...)
-	for i := 12; i < 20; i++ {
-		hdr[i] = 0xff
-	}
-	if _, err := Load(bytes.NewReader(hdr)); err == nil {
-		t.Error("implausible event count accepted")
-	}
-}
-
-func TestLoadsCounter(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Kind: KindLoad}, {Kind: KindStore}, {Kind: KindLoad},
-	}}
-	if tr.Loads() != 2 {
-		t.Errorf("Loads() = %d", tr.Loads())
+		t.Error("RAW+RAR covered less than RAW on the same stream")
 	}
 }
