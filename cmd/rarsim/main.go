@@ -500,8 +500,9 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, got s
 // span histograms) taken at report time — the same snapshot -httpmon
 // serves, so the two reporting paths cannot drift; version 6 added the
 // supervision section and the store's circuit-breaker stats; version 7
-// dropped both again along with the mechanisms they described.
-const benchSchemaVersion = 7
+// dropped both again along with the mechanisms they described; version
+// 8 added each experiment's busy_seconds.
+const benchSchemaVersion = 8
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.
@@ -529,11 +530,17 @@ type benchReport struct {
 }
 
 type benchExp struct {
-	ID      string      `json:"id"`
-	Seconds float64     `json:"seconds"`
-	NotRun  bool        `json:"not_run,omitempty"`
-	Failed  bool        `json:"failed,omitempty"`
-	Cells   []benchCell `json:"cells,omitempty"`
+	ID string `json:"id"`
+	// Seconds spans the experiment's first cell starting to its result
+	// assembling. Cells run inside shared replay passes, so this wall
+	// span overlaps other experiments' and can cover most of the suite.
+	Seconds float64 `json:"seconds"`
+	// BusySeconds is the sum of the experiment's cells' seconds: the
+	// work it cost, including its share of the passes it ran in.
+	BusySeconds float64     `json:"busy_seconds"`
+	NotRun      bool        `json:"not_run,omitempty"`
+	Failed      bool        `json:"failed,omitempty"`
+	Cells       []benchCell `json:"cells,omitempty"`
 }
 
 type benchCell struct {
@@ -606,6 +613,7 @@ func (b *benchReport) add(item experiments.SuiteItem) {
 		Failed:  item.Err != nil,
 	}
 	for _, c := range item.Cells {
+		e.BusySeconds += c.Elapsed.Seconds()
 		if c.Resumed {
 			b.resumedCells++
 		}

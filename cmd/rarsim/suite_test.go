@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -93,8 +94,9 @@ func TestSchedulerIsolatesPanickingCells(t *testing.T) {
 }
 
 // TestBenchJSONWritten: -benchjson emits the machine-readable suite
-// report with per-experiment cells and scheduler utilization. Schema v7
-// carries no supervision section and no store breaker stats, even with
+// report with per-experiment cells and scheduler utilization. Schema v8
+// carries each experiment's busy_seconds, the sum of its cells'
+// seconds, and no supervision section or store breaker stats, even with
 // -store armed.
 func TestBenchJSONWritten(t *testing.T) {
 	path := t.TempDir() + "/BENCH_suite.json"
@@ -115,8 +117,22 @@ func TestBenchJSONWritten(t *testing.T) {
 	}
 
 	m := readBench(t, path)
-	if v := m["schema_version"].(float64); v != 7 {
-		t.Errorf("schema_version = %v, want 7", v)
+	if v := m["schema_version"].(float64); v != 8 {
+		t.Errorf("schema_version = %v, want 8", v)
+	}
+	for _, raw := range m["experiments"].([]any) {
+		e := raw.(map[string]any)
+		busy, ok := e["busy_seconds"].(float64)
+		if !ok {
+			t.Fatalf("experiment %v lacks busy_seconds:\n%s", e["id"], data)
+		}
+		var sum float64
+		for _, c := range e["cells"].([]any) {
+			sum += c.(map[string]any)["seconds"].(float64)
+		}
+		if math.Abs(busy-sum) > 1e-6 {
+			t.Errorf("%v: busy_seconds %v, want the cells' sum %v", e["id"], busy, sum)
+		}
 	}
 	if _, ok := m["supervise"]; ok {
 		t.Errorf("bench report carries a supervise section:\n%s", data)
@@ -132,7 +148,7 @@ func TestBenchJSONWritten(t *testing.T) {
 
 // TestBenchJSONOmitsSupervisionWhenUnarmed: a plain run without -store
 // emits neither a supervise section nor store breaker stats, matching
-// the v7 schema.
+// the v8 schema.
 func TestBenchJSONOmitsSupervisionWhenUnarmed(t *testing.T) {
 	path := t.TempDir() + "/BENCH_suite.json"
 	code, _, errw := runCLI("-exp", "fig2", "-size", "14", "-bench", "go,gcc",

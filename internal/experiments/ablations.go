@@ -7,7 +7,6 @@ import (
 	"rarpred/internal/cloak"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -47,37 +46,32 @@ type AblationResult struct {
 	}
 }
 
-// variantCells builds a CellRunner with one cloaking engine per variant,
-// each consuming the immutable stream from its own goroutine (the
-// engines share no state, so a multi-variant cell uses one core per
-// variant instead of fanning out per event on one).
+// variantCells builds a CellRunner that reads one cloaking engine's
+// Stats per variant from the pass's shared engines, so a variant equal
+// to another experiment's configuration (the default, say) runs once
+// per workload.
 func variantCells(title string, variants []string, mk func(variant int) cloak.Config) CellRunner {
 	type row = struct {
 		Workload workload.Workload
 		Cells    []ablCell
 	}
 	return tracedCells(workload.ReferenceSize,
-		func(_ Options, w workload.Workload, tr *trace.Stream) (row, error) {
-			engines := make([]*cloak.Engine, len(variants))
-			sinks := make([]trace.Sink, len(variants))
+		func(_ Options, w workload.Workload, m *member) func() (row, error) {
+			engines := make([]func() cloak.Stats, len(variants))
 			for i := range variants {
-				eng := cloak.New(mk(i))
-				engines[i] = eng
-				sinks[i] = trace.SinkFuncs{
-					OnLoad:  func(pc, addr, value uint32) { eng.Load(pc, addr, value) },
-					OnStore: func(pc, addr, value uint32) { eng.Store(pc, addr, value) },
-				}
+				engines[i] = m.engineStats(mk(i))
 			}
-			tr.ReplayEach(sinks...)
-			r := row{Workload: w, Cells: make([]ablCell, len(variants))}
-			for i, eng := range engines {
-				st := eng.Stats()
-				r.Cells[i] = ablCell{
-					Coverage: stats.Ratio(st.Covered(), st.Loads),
-					Misp:     stats.Ratio(st.Mispredicted(), st.Loads),
+			return func() (row, error) {
+				r := row{Workload: w, Cells: make([]ablCell, len(variants))}
+				for i, read := range engines {
+					st := read()
+					r.Cells[i] = ablCell{
+						Coverage: stats.Ratio(st.Covered(), st.Loads),
+						Misp:     stats.Ratio(st.Mispredicted(), st.Loads),
+					}
 				}
+				return r, nil
 			}
-			return r, nil
 		},
 		func(_ Options, _ []workload.Workload, rows []row, fails []*runerr.WorkloadError) (Result, error) {
 			return annotate(&AblationResult{Title: title, Variants: variants, Rows: rows}, fails), nil

@@ -6,7 +6,6 @@ import (
 	"rarpred/internal/locality"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -35,23 +34,22 @@ type DistResult struct {
 }
 
 var ablDistCells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (DistRow, error) {
+	func(_ Options, w workload.Workload, m *member) func() (DistRow, error) {
 		d := locality.NewDistanceAnalyzer()
-		tr.Replay(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { d.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { d.Store(pc, addr) },
-		})
-		return DistRow{
-			Workload: w,
-			Sinks:    d.Sinks(),
-			CDF32:    d.CDF(32),
-			CDF128:   d.CDF(128),
-			CDF512:   d.CDF(512),
-			CDF2K:    d.CDF(2048),
-			P50:      d.Percentile(0.50),
-			P90:      d.Percentile(0.90),
-			P99:      d.Percentile(0.99),
-		}, nil
+		m.attach(addrSink(d.Load, d.Store))
+		return func() (DistRow, error) {
+			return DistRow{
+				Workload: w,
+				Sinks:    d.Sinks(),
+				CDF32:    d.CDF(32),
+				CDF128:   d.CDF(128),
+				CDF512:   d.CDF(512),
+				CDF2K:    d.CDF(2048),
+				P50:      d.Percentile(0.50),
+				P90:      d.Percentile(0.90),
+				P99:      d.Percentile(0.99),
+			}, nil
+		}
 	},
 	func(_ Options, _ []workload.Workload, rows []DistRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&DistResult{Rows: rows}, fails), nil

@@ -7,7 +7,6 @@ import (
 	"rarpred/internal/locality"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -38,28 +37,25 @@ type WindowResult struct {
 	Rows []WindowRow
 }
 
-// ablWindowCells runs one locality analyzer per window size, each
-// consuming the shared immutable stream from its own goroutine.
+// ablWindowCells runs one locality analyzer per window size, one
+// independent sink each.
 var ablWindowCells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (WindowRow, error) {
+	func(_ Options, w workload.Workload, m *member) func() (WindowRow, error) {
 		analyzers := make([]*locality.RARLocality, len(WindowSizes))
-		sinks := make([]trace.Sink, len(WindowSizes))
 		for i, ws := range WindowSizes {
 			a := locality.NewRARLocality(ws)
 			analyzers[i] = a
-			sinks[i] = trace.SinkFuncs{
-				OnLoad:  func(pc, addr, _ uint32) { a.Load(pc, addr) },
-				OnStore: func(pc, addr, _ uint32) { a.Store(pc, addr) },
+			m.attach(addrSink(a.Load, a.Store))
+		}
+		loads := m.stream().Loads()
+		return func() (WindowRow, error) {
+			row := WindowRow{Workload: w}
+			for _, a := range analyzers {
+				row.SinkFrac = append(row.SinkFrac, stats.Ratio(a.SinkLoads(), loads))
+				row.Locality1 = append(row.Locality1, a.Locality(1))
 			}
+			return row, nil
 		}
-		tr.ReplayEach(sinks...)
-		loads := tr.Loads()
-		row := WindowRow{Workload: w}
-		for _, a := range analyzers {
-			row.SinkFrac = append(row.SinkFrac, stats.Ratio(a.SinkLoads(), loads))
-			row.Locality1 = append(row.Locality1, a.Locality(1))
-		}
-		return row, nil
 	},
 	func(_ Options, _ []workload.Workload, rows []WindowRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&WindowResult{Rows: rows}, fails), nil

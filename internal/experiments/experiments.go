@@ -357,47 +357,54 @@ func cells[T any](
 	return cellRunner[T]{cell: cell, assemble: assemble}
 }
 
-// tracedRunner is cells plus the stream dependency edge: its Cell
-// obtains the workload's committed reference stream (shared cache,
-// degradation policy and all) before invoking the experiment's analyzer
-// function, and StreamKey exposes the cache key for scheduler pinning.
+// tracedRunner is the CellRunner of an experiment that consumes the
+// committed memory stream: its cells are members of their workload's
+// replay pass (see runPass), and StreamKey exposes the stream's cache
+// key for the scheduler to group and pin passes by.
 type tracedRunner[T any] struct {
 	cellRunner[T]
 	defSize int
+	attach  func(opt Options, w workload.Workload, m *member) func() (T, error)
 }
 
 func (r tracedRunner[T]) StreamKey(opt Options, w workload.Workload) (trace.Key, bool) {
 	if opt.Live {
 		return trace.Key{}, false
 	}
-	return trace.Key{Workload: w.Name, Size: opt.size(r.defSize), MaxInsts: opt.maxInsts()}, true
+	return trace.Key{Workload: w.Name, Size: r.streamSize(opt), MaxInsts: opt.maxInsts()}, true
+}
+
+func (r tracedRunner[T]) streamSize(opt Options) int { return opt.size(r.defSize) }
+
+func (r tracedRunner[T]) join(opt Options, w workload.Workload, m *member) func() (any, error) {
+	finish := r.attach(opt, w, m)
+	return func() (any, error) { return finish() }
+}
+
+// Cell runs the cell alone, as a one-member replay pass.
+func (r tracedRunner[T]) Cell(ctx context.Context, opt Options, w workload.Workload) (any, error) {
+	m := &member{r: r}
+	runPass(ctx, opt, w, []*member{m})
+	return m.row, m.err
 }
 
 // tracedCells builds a CellRunner for experiments that only consume the
 // committed memory reference stream (all the non-timing experiments;
 // the Section 5.6 cycle-level studies need full register-state
-// simulation and use cells). fn receives the workload and its recorded
-// stream, obtained from the shared cache — recorded on first use,
-// replayed thereafter. opt.Live bypasses the cache and re-records.
+// simulation and use cells). attach joins the cell to its workload's
+// replay pass — attaching sinks to m, or reading shared engines through
+// m.engineStats — and returns the finish step that builds the row after
+// the walk. The stream comes from the shared cache, recorded on first
+// use; opt.Live bypasses the cache and re-records per cell.
 func tracedCells[T any](
 	defSize int,
-	fn func(opt Options, w workload.Workload, tr *trace.Stream) (T, error),
+	attach func(opt Options, w workload.Workload, m *member) func() (T, error),
 	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
 ) CellRunner {
 	return tracedRunner[T]{
-		defSize: defSize,
-		cellRunner: cellRunner[T]{
-			assemble: assemble,
-			cell: func(ctx context.Context, opt Options, w workload.Workload) (T, error) {
-				var zero T
-				tr, err := workloadStream(ctx, opt, w, opt.size(defSize), opt.maxInsts())
-				if err != nil {
-					return zero, err
-				}
-				defer startSpan("cell/replay").End()
-				return fn(opt, w, tr)
-			},
-		},
+		cellRunner: cellRunner[T]{assemble: assemble},
+		defSize:    defSize,
+		attach:     attach,
 	}
 }
 
@@ -411,8 +418,12 @@ func tracedCells[T any](
 // time ("deadline exceeded (12.3s > 10s)") so the suite's !! lines
 // distinguish a near-miss from a hard hang; the parent run's own
 // deadline ending takes the plain path, because that bound was not this
-// cell's.
+// cell's. A pass runner's cell is a one-member replay pass, which
+// applies the same policy per member itself.
 func runCell(ctx context.Context, opt Options, r CellRunner, w workload.Workload) (row any, err error) {
+	if _, ok := r.(passRunner); ok {
+		return r.Cell(ctx, opt, w)
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			err = runerr.FromPanic(w.Name, p, debug.Stack())
@@ -426,8 +437,7 @@ func runCell(ctx context.Context, opt Options, r CellRunner, w workload.Workload
 		start := time.Now()
 		defer func() {
 			if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				err = fmt.Errorf("%w (%.1fs > %s): %w",
-					runerr.ErrDeadline, time.Since(start).Seconds(), opt.WorkloadTimeout, err)
+				err = deadlineError(time.Since(start), opt.WorkloadTimeout, err)
 			}
 		}()
 	}

@@ -179,14 +179,14 @@ type SynergyResult struct {
 	CloakMean, VPMean, HybridMean float64
 }
 
-// synergyCells stays single-sink: the cloaking engine and value
-// predictor classify each load together.
+// synergyCells stays one combined sink with a private engine: the
+// cloaking engine and value predictor classify each load together.
 var synergyCells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (SynergyRow, error) {
+	func(_ Options, w workload.Workload, m *member) func() (SynergyRow, error) {
 		engine := cloak.New(table52Config())
 		vp := vpred.NewLastValue(vpred.DefaultEntries)
 		var loads, cCloak, cVP, cHybrid uint64
-		tr.Replay(trace.SinkFuncs{
+		m.attach(trace.SinkFuncs{
 			OnLoad: func(pc, addr, value uint32) {
 				loads++
 				out := engine.Load(pc, addr, value)
@@ -204,12 +204,14 @@ var synergyCells = tracedCells(workload.ReferenceSize,
 			},
 			OnStore: func(pc, addr, value uint32) { engine.Store(pc, addr, value) },
 		})
-		return SynergyRow{
-			Workload: w,
-			Cloak:    stats.Ratio(cCloak, loads),
-			VP:       stats.Ratio(cVP, loads),
-			Hybrid:   stats.Ratio(cHybrid, loads),
-		}, nil
+		return func() (SynergyRow, error) {
+			return SynergyRow{
+				Workload: w,
+				Cloak:    stats.Ratio(cCloak, loads),
+				VP:       stats.Ratio(cVP, loads),
+				Hybrid:   stats.Ratio(cHybrid, loads),
+			}, nil
+		}
 	},
 	func(_ Options, ws []workload.Workload, rows []SynergyRow, fails []*runerr.WorkloadError) (Result, error) {
 		res := &SynergyResult{Rows: rows}
@@ -261,40 +263,30 @@ type ProfileResult struct {
 // profileMinCount drops one-off pairs, as a compiler would.
 const profileMinCount = 4
 
-// ablProfileCells stays two-pass sequential: pass 2's software engine
-// needs the profile that pass 1 collects.
+// ablProfileCells runs in two phases: phase 1 profiles on the pass
+// (and reads hardware coverage from the shared default engine); phase
+// 2's software engine needs that profile, so the finish step replays
+// the stream itself.
 var ablProfileCells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (ProfileRow, error) {
-		// Pass 1: profile (and measure hardware coverage on the same
-		// stream).
+	func(_ Options, w workload.Workload, m *member) func() (ProfileRow, error) {
 		collector := cloak.NewCollector(128)
-		hw := cloak.New(cloak.DefaultConfig())
-		tr.Replay(trace.SinkFuncs{
-			OnLoad: func(pc, addr, value uint32) {
-				collector.Load(pc, addr)
-				hw.Load(pc, addr, value)
-			},
-			OnStore: func(pc, addr, value uint32) {
-				collector.Store(pc, addr)
-				hw.Store(pc, addr, value)
-			},
-		})
-		// Pass 2: replay the same stream under the software-guided engine
-		// (the program is deterministic, so a second execution would
-		// produce the identical reference stream anyway).
-		profile := collector.Profile()
-		sw := cloak.NewStaticEngine(cloak.DefaultConfig(), profile, profileMinCount)
-		tr.Replay(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, value uint32) { sw.Load(pc, addr, value) },
-			OnStore: func(pc, addr, value uint32) { sw.Store(pc, addr, value) },
-		})
-		hwStats, swStats := hw.Stats(), sw.Stats()
-		return ProfileRow{
-			Workload: w,
-			Hardware: stats.Ratio(hwStats.Covered(), hwStats.Loads),
-			Software: stats.Ratio(swStats.Covered(), swStats.Loads),
-			Pairs:    len(profile.Pairs(profileMinCount)),
-		}, nil
+		m.attach(addrSink(collector.Load, collector.Store))
+		hw := m.engineStats(cloak.DefaultConfig())
+		return func() (ProfileRow, error) {
+			// Phase 2: replay the same stream under the software-guided
+			// engine (the program is deterministic, so a second execution
+			// would produce the identical reference stream anyway).
+			profile := collector.Profile()
+			sw := cloak.NewStaticEngine(cloak.DefaultConfig(), profile, profileMinCount)
+			m.stream().Replay(engineSink(sw))
+			hwStats, swStats := hw(), sw.Stats()
+			return ProfileRow{
+				Workload: w,
+				Hardware: stats.Ratio(hwStats.Covered(), hwStats.Loads),
+				Software: stats.Ratio(swStats.Covered(), swStats.Loads),
+				Pairs:    len(profile.Pairs(profileMinCount)),
+			}, nil
+		}
 	},
 	func(_ Options, _ []workload.Workload, rows []ProfileRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&ProfileResult{Rows: rows}, fails), nil

@@ -7,7 +7,6 @@ import (
 	"rarpred/internal/locality"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -39,26 +38,21 @@ type Fig2Result struct {
 	Rows []Fig2Row
 }
 
-// fig2Cells analyzes both address windows per workload, each consuming
-// the immutable stream from its own goroutine (the analyzers are
-// independent, so the two-variant cell uses two cores).
+// fig2Cells analyzes both address windows per workload, one
+// independent sink each.
 var fig2Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig2Row, error) {
+	func(_ Options, w workload.Workload, m *member) func() (Fig2Row, error) {
 		inf := locality.NewRARLocality(0)
 		win := locality.NewRARLocality(Fig2Window)
-		tr.ReplayEach(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { inf.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { inf.Store(pc, addr) },
-		}, trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { win.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { win.Store(pc, addr) },
-		})
-		row := Fig2Row{Workload: w, SinkInf: inf.SinkLoads(), SinkWin: win.SinkLoads()}
-		for n := 1; n <= locality.MaxDepth; n++ {
-			row.Infinite[n-1] = inf.Locality(n)
-			row.Windowed[n-1] = win.Locality(n)
+		m.attach(addrSink(inf.Load, inf.Store), addrSink(win.Load, win.Store))
+		return func() (Fig2Row, error) {
+			row := Fig2Row{Workload: w, SinkInf: inf.SinkLoads(), SinkWin: win.SinkLoads()}
+			for n := 1; n <= locality.MaxDepth; n++ {
+				row.Infinite[n-1] = inf.Locality(n)
+				row.Windowed[n-1] = win.Locality(n)
+			}
+			return row, nil
 		}
-		return row, nil
 	},
 	func(_ Options, _ []workload.Workload, rows []Fig2Row, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&Fig2Result{Rows: rows}, fails), nil

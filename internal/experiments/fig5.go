@@ -41,12 +41,10 @@ type Fig5Result struct {
 	Rows []Fig5Row
 }
 
-// fig5Cells runs one combined-DDT detector per size, each consuming the
-// immutable stream from its own goroutine: the sweep's seven detectors
-// are independent, so the cell uses up to seven cores instead of paying
-// a per-event fan-out loop on one.
+// fig5Cells runs one combined-DDT detector per size, one independent
+// sink each.
 var fig5Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig5Row, error) {
+	func(_ Options, w workload.Workload, m *member) func() (Fig5Row, error) {
 		raw := make([]uint64, len(Fig5Sizes))
 		rar := make([]uint64, len(Fig5Sizes))
 		sinks := make([]trace.Sink, len(Fig5Sizes))
@@ -65,17 +63,19 @@ var fig5Cells = tracedCells(workload.ReferenceSize,
 				OnStore: func(pc, addr, _ uint32) { d.Store(addr, pc) },
 			}
 		}
-		tr.ReplayEach(sinks...)
-		loads := tr.Loads()
-		row := Fig5Row{Workload: w}
-		for i, s := range Fig5Sizes {
-			row.Points = append(row.Points, Fig5Point{
-				DDTSize: s,
-				RAWFrac: stats.Ratio(raw[i], loads),
-				RARFrac: stats.Ratio(rar[i], loads),
-			})
+		m.attach(sinks...)
+		loads := m.stream().Loads()
+		return func() (Fig5Row, error) {
+			row := Fig5Row{Workload: w}
+			for i, s := range Fig5Sizes {
+				row.Points = append(row.Points, Fig5Point{
+					DDTSize: s,
+					RAWFrac: stats.Ratio(raw[i], loads),
+					RARFrac: stats.Ratio(rar[i], loads),
+				})
+			}
+			return row, nil
 		}
-		return row, nil
 	},
 	func(_ Options, _ []workload.Workload, rows []Fig5Row, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&Fig5Result{Rows: rows}, fails), nil

@@ -7,7 +7,6 @@ import (
 	"rarpred/internal/cloak"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -59,27 +58,22 @@ func cellFrom(st cloak.Stats) Fig6Cell {
 	}
 }
 
-// fig6Cells runs the 1-bit and 2-bit engines on separate goroutines over
-// the shared immutable stream.
+// fig6Cells reads the 1-bit and 2-bit engines' Stats from the pass's
+// shared engines (the 2-bit one is the default configuration other
+// experiments read too).
 var fig6Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig6Row, error) {
+	func(_ Options, w workload.Workload, m *member) func() (Fig6Row, error) {
 		cfg1 := cloak.DefaultConfig()
 		cfg1.Confidence = cloak.NonAdaptive1Bit
-		cfg2 := cloak.DefaultConfig()
-		e1 := cloak.New(cfg1)
-		e2 := cloak.New(cfg2)
-		tr.ReplayEach(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, value uint32) { e1.Load(pc, addr, value) },
-			OnStore: func(pc, addr, value uint32) { e1.Store(pc, addr, value) },
-		}, trace.SinkFuncs{
-			OnLoad:  func(pc, addr, value uint32) { e2.Load(pc, addr, value) },
-			OnStore: func(pc, addr, value uint32) { e2.Store(pc, addr, value) },
-		})
-		return Fig6Row{
-			Workload: w,
-			OneBit:   cellFrom(e1.Stats()),
-			TwoBit:   cellFrom(e2.Stats()),
-		}, nil
+		oneBit := m.engineStats(cfg1)
+		twoBit := m.engineStats(cloak.DefaultConfig())
+		return func() (Fig6Row, error) {
+			return Fig6Row{
+				Workload: w,
+				OneBit:   cellFrom(oneBit()),
+				TwoBit:   cellFrom(twoBit()),
+			}, nil
+		}
 	},
 	func(_ Options, ws []workload.Workload, rows []Fig6Row, fails []*runerr.WorkloadError) (Result, error) {
 		res := &Fig6Result{Rows: rows}

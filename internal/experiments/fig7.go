@@ -57,15 +57,16 @@ type Fig7Result struct {
 	Rows  []Fig7Row
 }
 
-// fig7Cells stays single-sink: the locality observation and the cloaking
-// outcome correlate per event, so they must walk the stream in lockstep.
+// fig7Cells stays one combined sink with a private engine: the locality
+// observation and the cloaking outcome correlate per event, so they must
+// see the stream in lockstep.
 func fig7Cells(value bool) CellRunner {
 	return tracedCells(workload.ReferenceSize,
-		func(_ Options, w workload.Workload, tr *trace.Stream) (Fig7Row, error) {
+		func(_ Options, w workload.Workload, m *member) func() (Fig7Row, error) {
 			engine := cloak.New(cloak.DefaultConfig())
 			last := locality.NewLastMap()
 			var loads, localRAW, localRAR, localNone uint64
-			tr.Replay(trace.SinkFuncs{
+			m.attach(trace.SinkFuncs{
 				OnLoad: func(pc, addr, val uint32) {
 					loads++
 					word := addr
@@ -87,15 +88,17 @@ func fig7Cells(value bool) CellRunner {
 				},
 				OnStore: func(pc, addr, val uint32) { engine.Store(pc, addr, val) },
 			})
-			st := engine.Stats()
-			return Fig7Row{
-				Workload:    w,
-				LocalRAW:    stats.Ratio(localRAW, loads),
-				LocalRAR:    stats.Ratio(localRAR, loads),
-				LocalNone:   stats.Ratio(localNone, loads),
-				CoverageRAW: stats.Ratio(st.CorrectRAW, loads),
-				CoverageRAR: stats.Ratio(st.CorrectRAR, loads),
-			}, nil
+			return func() (Fig7Row, error) {
+				st := engine.Stats()
+				return Fig7Row{
+					Workload:    w,
+					LocalRAW:    stats.Ratio(localRAW, loads),
+					LocalRAR:    stats.Ratio(localRAR, loads),
+					LocalNone:   stats.Ratio(localNone, loads),
+					CoverageRAW: stats.Ratio(st.CorrectRAW, loads),
+					CoverageRAR: stats.Ratio(st.CorrectRAR, loads),
+				}, nil
+			}
 		},
 		func(_ Options, _ []workload.Workload, rows []Fig7Row, fails []*runerr.WorkloadError) (Result, error) {
 			return annotate(&Fig7Result{Value: value, Rows: rows}, fails), nil

@@ -17,7 +17,7 @@ import (
 //	suite.cost_total_ms / cost_done_ms   — LPT cost estimates, for ETA
 //
 // Wall time inside cells is attributed through spans (spans_ns{cell},
-// {cell/record}, {cell/replay}, {assemble}).
+// {cell/record}, {pass/walk}, {cell/replay}, {assemble}).
 var (
 	suiteCellsTotal  = metrics.Default().Gauge("suite.cells_total")
 	suiteCellsDone   = metrics.Default().Gauge("suite.cells_done")

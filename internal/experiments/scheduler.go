@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rarpred/internal/metrics"
 	"rarpred/internal/runerr"
+	"rarpred/internal/trace"
 )
 
 // SuiteItem is one experiment's completed outcome, delivered to the
@@ -69,22 +71,53 @@ type suiteExp struct {
 	started   atomic.Bool // any cell began with the run context alive
 }
 
-// RunSuite executes the experiments as one work pool over their
-// (experiment × workload) cells: every cell from every experiment feeds
-// a single queue drained by Options.parallelism() workers, so a slow
-// experiment no longer serialises the suite behind it — its cells
-// interleave with everyone else's. Cells run under runCell's isolation
-// (panic capture, per-workload deadline), identical to the standalone
-// per-experiment pools, and each workload's stream records once via the
-// shared cache's single-flight no matter how many experiments' cells
-// are waiting on it. Stream-consuming cells pin their cache entry
-// (trace.Cache.Retain) for the whole run so eviction cannot drop a
-// stream that scheduled-but-not-yet-run cells still need.
+// suiteJob is one unit of the pool: a single cell, or a workload's
+// replay pass over its member cells.
+type suiteJob struct {
+	wi  int
+	eis []int // the cell's experiment; a pass's members in suite order
+	// key is the stream the job consumes, pinned from construction until
+	// the job has run when pin is set.
+	key   trace.Key
+	pin   bool
+	costs []float64 // per-cell cost estimates, seconds (+Inf = unknown)
+	est   []int64   // per-cell ETA estimates, ms (suite.cost_* gauges)
+}
+
+// cost is the job's LPT cost: the sum of its cells' costs, unknown
+// (+Inf) if any cell's is.
+func (j *suiteJob) cost() float64 {
+	var sum float64
+	for _, c := range j.costs {
+		sum += c
+	}
+	return sum
+}
+
+// RunSuite executes the experiments as one work pool: every cell from
+// every experiment feeds a single queue drained by
+// Options.parallelism() workers, so a slow experiment no longer
+// serialises the suite behind it — its cells interleave with
+// everyone else's. Cells of stream-consuming experiments are grouped
+// into one replay pass job per (workload, stream key) that acquires the
+// stream once, decodes each chunk once and runs each distinct shared
+// cloak engine once for all of them (see runPass); every other cell is
+// its own job under runCell's isolation (panic capture, per-workload
+// deadline), identical to the standalone per-experiment pools. Each
+// job pins its stream's cache entry (trace.Cache.Retain) from
+// construction until it has run, so eviction cannot drop a stream that
+// queued jobs still need.
+//
+// A pass's members stay (experiment × workload) cells everywhere a cell
+// is visible: each gets its own row, error, journal entry and CellStat,
+// SuiteStats.Cells and the -progress gauges count cells, not jobs, and
+// a member's Elapsed is its own time plus an equal share of the pass's
+// shared time.
 //
 // Results are assembled the moment an experiment's last cell retires and
 // delivered in suite order — deliver(item) is called exactly once per
 // experiment, ordered, from whichever worker completed the ordering
-// gap. deliver returning false stops the suite: the remaining cells are
+// gap. deliver returning false stops the suite: the remaining jobs are
 // drained without running and nothing further is delivered.
 //
 // If the run context ends mid-suite, experiments whose cells never
@@ -94,28 +127,27 @@ type suiteExp struct {
 //
 // With Options.Journal set the suite is resumable: cells a previous run
 // journaled are prefilled from their decoded rows (CellStat.Resumed)
-// and never scheduled — no simulation, no stream pin — and each cell
-// that completes successfully in this run is journaled as it retires.
-// Because delivery order, row order, and assembly are unchanged, a
-// resumed run's aggregate output is byte-identical to an uninterrupted
-// one.
+// and never scheduled — no simulation, no stream pin, no seat in a pass
+// (a pass whose cells are all journaled never touches its stream) — and
+// each cell that completes successfully in this run is journaled as it
+// retires. Because delivery order, row order, and assembly are
+// unchanged, a resumed run's aggregate output is byte-identical to an
+// uninterrupted one.
 func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) SuiteStats {
 	begin := time.Now()
 	runCtx := opt.ctx()
 	// The internal cancel propagates a deliver=false stop to every
-	// not-yet-run cell; the run context's own end is observed through it
+	// not-yet-run job; the run context's own end is observed through it
 	// too.
 	ctx, cancel := context.WithCancel(runCtx)
 	defer cancel()
 
 	ws := opt.workloads()
 	states := make([]*suiteExp, len(exps))
-	type job struct {
-		ei, wi int
-		estMs  int64 // ETA cost estimate (suite.cost_* gauges)
-	}
-	var jobs []job
+	var jobs []*suiteJob
+	passes := make(map[trace.Key]*suiteJob)
 	var fullyResumed []int // experiments with every cell journaled
+	cells := 0
 	for ei, e := range exps {
 		st := &suiteExp{
 			exp:   e,
@@ -144,23 +176,47 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				st.stats[wi] = CellStat{Workload: w.Name, Resumed: true}
 			}
 		}
+		_, isPass := e.Cells.(passRunner)
 		remaining := 0
 		for wi, w := range ws {
 			if resumed[wi] {
 				continue
 			}
 			remaining++
-			jobs = append(jobs, job{ei: ei, wi: wi})
-			// Pin the stream this cell will consume, so the cache cannot
-			// evict a hot stream between now and the pool reaching the
-			// cell. Resumed cells never touch their stream, so they take
-			// no pin.
-			if sk, ok := e.Cells.(StreamKeyer); ok {
-				if key, need := sk.StreamKey(opt, w); need {
-					traceCache.Retain(key)
+			cost := math.Inf(1)
+			if opt.CellCost != nil {
+				if sec, ok := opt.CellCost(e.ID, w.Name); ok {
+					cost = sec
 				}
 			}
+			j := &suiteJob{wi: wi}
+			if sk, ok := e.Cells.(StreamKeyer); ok {
+				j.key, j.pin = sk.StreamKey(opt, w)
+			}
+			// A stream-consuming cell joins its workload's pass. Under
+			// Options.Live there is no shared stream to group by, so each
+			// cell is a pass of its own and records its own stream.
+			if isPass && j.pin {
+				if pj, ok := passes[j.key]; ok {
+					j = pj
+				} else {
+					passes[j.key] = j
+				}
+			}
+			if len(j.eis) == 0 {
+				jobs = append(jobs, j)
+				// Pin the stream this job will consume, so the cache
+				// cannot evict it between now and the pool reaching the
+				// job. Resumed cells never touch their stream, so they
+				// take no pin.
+				if j.pin {
+					traceCache.Retain(j.key)
+				}
+			}
+			j.eis = append(j.eis, ei)
+			j.costs = append(j.costs, cost)
 		}
+		cells += remaining
 		st.pending.Store(int32(remaining))
 		if remaining == 0 {
 			st.startOnce.Do(func() { st.start = time.Now() })
@@ -223,104 +279,116 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	}
 
 	// Longest-processing-time-first: with a cost model, pull the slowest
-	// cells to the front of the queue so the pool never drains down to
-	// one worker grinding a long cell it picked up last. Cells without
-	// an estimate sort first (an unknown cell may be the one that has to
-	// record its workload's stream — starting it early is the safe bet);
-	// the sort is stable, so with no estimates at all the original order
-	// survives. Only execution order changes: stream pins were taken
-	// above and delivery is buffered into suite order regardless.
-	cost := make([]float64, len(jobs))
-	for i := range cost {
-		cost[i] = math.Inf(1)
-	}
+	// jobs to the front of the queue so the pool never drains down to
+	// one worker grinding a long job it picked up last. Jobs with an
+	// unknown cell sort first (an unknown cell may be the one that has
+	// to record its workload's stream — starting it early is the safe
+	// bet); the sort is stable, so with no estimates at all the original
+	// order survives. Only execution order changes: stream pins were
+	// taken above and delivery is buffered into suite order regardless.
 	if opt.CellCost != nil {
-		for i, j := range jobs {
-			if sec, ok := opt.CellCost(exps[j.ei].ID, ws[j.wi].Name); ok {
-				cost[i] = sec
-			}
-		}
-		order := make([]int, len(jobs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
-		sorted := make([]job, len(jobs))
-		sortedCost := make([]float64, len(jobs))
-		for i, k := range order {
-			sorted[i], sortedCost[i] = jobs[k], cost[k]
-		}
-		jobs, cost = sorted, sortedCost
+		sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].cost() > jobs[b].cost() })
 	}
 
-	// Stamp each job with its ETA estimate and reset the suite gauges
+	// Stamp each cell with its ETA estimate and reset the suite gauges
 	// the -progress ticker reads. The estimates feed monitoring only;
 	// scheduling ran on the raw costs above.
+	var cellCosts []float64
+	for _, j := range jobs {
+		cellCosts = append(cellCosts, j.costs...)
+	}
+	est := estimateCosts(cellCosts)
 	var totalMs int64
-	for i, est := range estimateCosts(cost) {
-		jobs[i].estMs = int64(est * 1e3)
-		totalMs += jobs[i].estMs
+	for _, j := range jobs {
+		j.est = make([]int64, len(j.costs))
+		for k := range j.est {
+			j.est[k] = int64(est[0] * 1e3)
+			totalMs += j.est[k]
+			est = est[1:]
+		}
 	}
 	workers := opt.parallelism()
-	suiteCellsTotal.Set(int64(len(jobs)))
+	suiteCellsTotal.Set(int64(cells))
 	suiteCellsDone.Set(0)
-	suiteQueueDepth.Set(int64(len(jobs)))
+	suiteQueueDepth.Set(int64(cells))
 	suiteWorkers.Set(int64(workers))
 	suiteWorkersBusy.Set(0)
 	suiteCostTotal.Set(totalMs)
 	suiteCostDone.Set(0)
 
-	queue := make(chan job, len(jobs))
+	var busy int64 // nanoseconds, atomic
+	// retire records one finished cell and assembles its experiment once
+	// the experiment's last cell is in.
+	retire := func(ei, wi int, estMs int64, m *member) {
+		st := states[ei]
+		w := ws[wi]
+		row, err, elapsed := m.row, m.err, m.elapsed
+		if m.started {
+			st.started.Store(true)
+		}
+		metrics.Default().ObserveSpan("cell", elapsed)
+		suiteCellsDone.Add(1)
+		suiteCostDone.Add(estMs)
+		if err == nil && opt.Journal != nil {
+			// Journal the finished cell durably, best effort: a failed
+			// append costs only this cell's resumability, never the run.
+			// The cell's wall seconds ride along so a resumed run can
+			// schedule longest-first.
+			if codec, ok := st.exp.Cells.(RowCodec); ok {
+				if enc, eerr := codec.EncodeRow(row); eerr == nil {
+					_ = opt.Journal.Record(st.exp.ID, w.Name, enc, elapsed.Seconds())
+				}
+			}
+		}
+		atomic.AddInt64(&busy, int64(elapsed))
+		st.rows[wi], st.errs[wi] = row, err
+		st.stats[wi] = CellStat{Workload: w.Name, Elapsed: elapsed, Failed: err != nil}
+		if st.pending.Add(-1) == 0 {
+			assemble(ei)
+		}
+	}
+
+	queue := make(chan *suiteJob, len(jobs))
 	for _, j := range jobs {
 		queue <- j
 	}
 	close(queue)
-	var busy int64 // nanoseconds, atomic
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range queue {
-				st := states[j.ei]
-				st.startOnce.Do(func() { st.start = time.Now() })
-				suiteQueueDepth.Add(-1)
+				for _, ei := range j.eis {
+					st := states[ei]
+					st.startOnce.Do(func() { st.start = time.Now() })
+				}
+				suiteQueueDepth.Add(-int64(len(j.eis)))
 				suiteWorkersBusy.Add(1)
-				span := startSpan("cell")
-				cellStart := time.Now()
-				var row any
 				w := ws[j.wi]
-				err := ctx.Err()
-				if err == nil {
-					st.started.Store(true)
-					row, err = runCell(ctx, opt, st.exp.Cells, w)
-				}
-				if sk, ok := st.exp.Cells.(StreamKeyer); ok {
-					if key, need := sk.StreamKey(opt, w); need {
-						traceCache.Release(key)
+				// A cell job's outcome rides in a member too, so both
+				// kinds of job retire the same way.
+				ms := make([]*member, len(j.eis))
+				if _, isPass := states[j.eis[0]].exp.Cells.(passRunner); isPass {
+					for k, ei := range j.eis {
+						ms[k] = &member{r: states[ei].exp.Cells.(passRunner)}
 					}
+					runPass(ctx, opt, w, ms)
+				} else {
+					m := &member{err: ctx.Err()}
+					cellStart := time.Now()
+					if m.started = m.err == nil; m.started {
+						m.row, m.err = runCell(ctx, opt, states[j.eis[0]].exp.Cells, w)
+					}
+					m.elapsed = time.Since(cellStart)
+					ms[0] = m
 				}
-				elapsed := time.Since(cellStart)
-				span.End()
+				if j.pin {
+					traceCache.Release(j.key)
+				}
 				suiteWorkersBusy.Add(-1)
-				suiteCellsDone.Add(1)
-				suiteCostDone.Add(j.estMs)
-				if err == nil && opt.Journal != nil {
-					// Journal the finished cell durably, best effort: a
-					// failed append costs only this cell's resumability,
-					// never the run. The cell's wall seconds ride along so
-					// a resumed run can schedule longest-first.
-					if codec, ok := st.exp.Cells.(RowCodec); ok {
-						if enc, eerr := codec.EncodeRow(row); eerr == nil {
-							_ = opt.Journal.Record(st.exp.ID, w.Name, enc, elapsed.Seconds())
-						}
-					}
-				}
-				atomic.AddInt64(&busy, int64(elapsed))
-				st.rows[j.wi], st.errs[j.wi] = row, err
-				st.stats[j.wi] = CellStat{Workload: w.Name, Elapsed: elapsed, Failed: err != nil}
-				if st.pending.Add(-1) == 0 {
-					assemble(j.ei)
+				for k, m := range ms {
+					retire(j.eis[k], j.wi, j.est[k], m)
 				}
 			}
 		}()
@@ -329,7 +397,7 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 
 	return SuiteStats{
 		Experiments: len(exps),
-		Cells:       len(jobs),
+		Cells:       cells,
 		Workers:     workers,
 		Wall:        time.Since(begin),
 		Busy:        time.Duration(atomic.LoadInt64(&busy)),

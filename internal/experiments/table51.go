@@ -7,7 +7,6 @@ import (
 	"rarpred/internal/funcsim"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -31,8 +30,9 @@ type Table51Result struct {
 }
 
 var table51Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Table51Row, error) {
-		return Table51Row{Workload: w, Counts: tr.Counts}, nil
+	func(_ Options, w workload.Workload, m *member) func() (Table51Row, error) {
+		row := Table51Row{Workload: w, Counts: m.stream().Counts}
+		return func() (Table51Row, error) { return row, nil }
 	},
 	func(_ Options, _ []workload.Workload, rows []Table51Row, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&Table51Result{Rows: rows}, fails), nil

@@ -60,14 +60,15 @@ func table52Config() cloak.Config {
 	}
 }
 
-// table52Cells stays single-sink: the cloaking engine and the value
-// predictor must observe each load together to classify the overlap.
+// table52Cells stays one combined sink with a private engine: the
+// cloaking engine and the value predictor must observe each load
+// together to classify the overlap.
 var table52Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Table52Row, error) {
+	func(_ Options, w workload.Workload, m *member) func() (Table52Row, error) {
 		engine := cloak.New(table52Config())
 		vp := vpred.NewLastValue(vpred.DefaultEntries)
 		var loads, cloakOnlyRAW, cloakOnlyRAR, vpOnly uint64
-		tr.Replay(trace.SinkFuncs{
+		m.attach(trace.SinkFuncs{
 			OnLoad: func(pc, addr, value uint32) {
 				loads++
 				out := engine.Load(pc, addr, value)
@@ -86,12 +87,14 @@ var table52Cells = tracedCells(workload.ReferenceSize,
 			},
 			OnStore: func(pc, addr, value uint32) { engine.Store(pc, addr, value) },
 		})
-		return Table52Row{
-			Workload:     w,
-			CloakOnlyRAW: stats.Ratio(cloakOnlyRAW, loads),
-			CloakOnlyRAR: stats.Ratio(cloakOnlyRAR, loads),
-			VPOnly:       stats.Ratio(vpOnly, loads),
-		}, nil
+		return func() (Table52Row, error) {
+			return Table52Row{
+				Workload:     w,
+				CloakOnlyRAW: stats.Ratio(cloakOnlyRAW, loads),
+				CloakOnlyRAR: stats.Ratio(cloakOnlyRAR, loads),
+				VPOnly:       stats.Ratio(vpOnly, loads),
+			}, nil
+		}
 	},
 	func(_ Options, _ []workload.Workload, rows []Table52Row, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&Table52Result{Rows: rows}, fails), nil

@@ -3,8 +3,8 @@ package metrics
 import "time"
 
 // spanFamily is the histogram family every span records into; each
-// span path ("cell", "cell/record", "cell/replay") is one labeled
-// member holding nanosecond durations.
+// span path ("cell", "cell/record", "pass/walk") is one labeled member
+// holding nanosecond durations.
 const spanFamily = "spans_ns"
 
 // Span attributes wall time inside a phase of work. Spans nest: a child
@@ -13,7 +13,8 @@ const spanFamily = "spans_ns"
 //
 //	spans_ns{cell}          — whole cells
 //	spans_ns{cell/record}   — trace recording inside a cell
-//	spans_ns{cell/replay}   — analyzer replay inside a cell
+//	spans_ns{pass/walk}     — one replay pass's walk over its stream
+//	spans_ns{cell/replay}   — pipeline replay inside a timing cell
 //
 // A Span is a 3-word value, started with one clock read and ended with
 // one clock read plus one histogram observe — cheap enough to wrap
@@ -43,4 +44,11 @@ func (s Span) End() {
 		return
 	}
 	s.vec.With(s.path).Observe(int64(time.Since(s.start)))
+}
+
+// ObserveSpan records d under path without clocking it, for work whose
+// duration is apportioned rather than measured directly (a replay pass
+// divides its time among the cells it runs).
+func (r *Registry) ObserveSpan(path string, d time.Duration) {
+	r.HistogramVec(spanFamily).With(path).Observe(int64(d))
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 )
 
@@ -90,8 +91,8 @@ func predIdx(ctx uint32) uint32 { return (ctx >> 2) & predMask }
 
 // eventScratch is one chunk's worth of raw event columns. It backs both
 // a recording stream's tail chunk and a replay's decode buffer, so
-// sealing a chunk recycles its arrays into the same pool replay draws
-// from.
+// sealing a chunk recycles its arrays into the same free list replay
+// draws from.
 type eventScratch struct {
 	kinds  []uint8
 	pcs    []uint32
@@ -99,7 +100,7 @@ type eventScratch struct {
 	values []uint32
 }
 
-var eventScratchPool = sync.Pool{New: func() any {
+var eventScratches = freeList[eventScratch]{newItem: func() *eventScratch {
 	return &eventScratch{
 		kinds:  make([]uint8, 0, chunkEvents),
 		pcs:    make([]uint32, 0, chunkEvents),
@@ -108,10 +109,10 @@ var eventScratchPool = sync.Pool{New: func() any {
 	}
 }}
 
-func getEventScratch() *eventScratch  { return eventScratchPool.Get().(*eventScratch) }
+func getEventScratch() *eventScratch { return eventScratches.get() }
 func putEventScratch(sc *eventScratch) {
 	sc.kinds, sc.pcs, sc.addrs, sc.values = sc.kinds[:0], sc.pcs[:0], sc.addrs[:0], sc.values[:0]
-	eventScratchPool.Put(sc)
+	eventScratches.put(sc)
 }
 
 // pairScratch is one chunk's worth of two-column records (the IStream
@@ -121,17 +122,52 @@ type pairScratch struct {
 	b []uint32
 }
 
-var pairScratchPool = sync.Pool{New: func() any {
+var pairScratches = freeList[pairScratch]{newItem: func() *pairScratch {
 	return &pairScratch{
 		a: make([]uint32, 0, chunkEvents),
 		b: make([]uint32, 0, chunkEvents),
 	}
 }}
 
-func getPairScratch() *pairScratch { return pairScratchPool.Get().(*pairScratch) }
+func getPairScratch() *pairScratch { return pairScratches.get() }
 func putPairScratch(sc *pairScratch) {
 	sc.a, sc.b = sc.a[:0], sc.b[:0]
-	pairScratchPool.Put(sc)
+	pairScratches.put(sc)
+}
+
+// scratchPerP caps each free list at this many idle entries per P.
+const scratchPerP = 4
+
+// freeList recycles chunk-sized scratch. Unlike sync.Pool it never
+// drops a Put below its cap (sync.Pool discards a random share of Puts
+// in race builds and empties itself at every GC), so a steady-state
+// replay reuses its scratch deterministically; the cap bounds what idle
+// scratch can pin.
+type freeList[T any] struct {
+	mu      sync.Mutex
+	items   []*T
+	newItem func() *T
+}
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	if n := len(l.items); n > 0 {
+		x := l.items[n-1]
+		l.items[n-1] = nil
+		l.items = l.items[:n-1]
+		l.mu.Unlock()
+		return x
+	}
+	l.mu.Unlock()
+	return l.newItem()
+}
+
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	if len(l.items) < scratchPerP*runtime.GOMAXPROCS(0) {
+		l.items = append(l.items, x)
+	}
+	l.mu.Unlock()
 }
 
 // packBufPool holds reusable encode buffers; the sealed chunk keeps an

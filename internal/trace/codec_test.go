@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -214,9 +216,9 @@ func TestAppendPackedChunkRejects(t *testing.T) {
 
 // TestSealedReplayMatchesRaw records events into a sealed multi-chunk
 // stream and proves every replay surface (lockstep Replay, the
-// chunk-granular ReplayChunks walk, concurrent ReplayEach) yields
-// exactly the appended events, while the stream stays smaller than
-// their raw payload.
+// chunk-granular ReplayChunks walk, the chunk-major Walk feeding two
+// sinks) yields exactly the appended events, while the stream stays
+// smaller than their raw payload.
 func TestSealedReplayMatchesRaw(t *testing.T) {
 	s := NewStream()
 	n := chunkEvents*2 + chunkEvents/3
@@ -245,9 +247,14 @@ func TestSealedReplayMatchesRaw(t *testing.T) {
 		}
 		equalEvents(t, got, want)
 	})
-	t.Run("ReplayEach", func(t *testing.T) {
+	t.Run("Walk", func(t *testing.T) {
 		var a, b []event
-		s.ReplayEach(collect(&a), collect(&b))
+		sa, sb := collect(&a), collect(&b)
+		s.Walk(func(_ int, c Chunk) bool {
+			c.Feed(sa)
+			c.Feed(sb)
+			return true
+		})
 		equalEvents(t, a, want)
 		equalEvents(t, b, want)
 	})
@@ -409,4 +416,31 @@ func FuzzChunkCodecRoundTrip(f *testing.F) {
 		}
 		putPairScratch(psc)
 	})
+}
+
+// TestFreeListConcurrent: scratch handed out to concurrent replays is
+// never shared, and the idle list stays within its per-P cap.
+func TestFreeListConcurrent(t *testing.T) {
+	l := freeList[int]{newItem: func() *int { return new(int) }}
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				x := l.get()
+				*x = g
+				runtime.Gosched()
+				if *x != g {
+					t.Errorf("scratch shared between goroutines")
+				}
+				l.put(x)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n, max := len(l.items), scratchPerP*runtime.GOMAXPROCS(0); n > max {
+		t.Errorf("free list holds %d idle entries, cap %d", n, max)
+	}
 }

@@ -113,7 +113,8 @@ func (r *recordingSink) Store(pc, addr, value uint32) { r.stores++ }
 
 // TestPartialSinkFuncsBothPaths: a SinkFuncs with only one callback set
 // means "skip the other kind" on every replay path — the unwrapped
-// single-sink fast path, the multi-sink lockstep path, and ReplayEach.
+// single-sink fast path, the multi-sink lockstep path, and Chunk.Feed
+// under Walk.
 func TestPartialSinkFuncsBothPaths(t *testing.T) {
 	s := buildStream(300)
 	wantLoads, wantStores := int(s.loads), s.n-int(s.loads)
@@ -139,8 +140,12 @@ func TestPartialSinkFuncsBothPaths(t *testing.T) {
 	}
 
 	loads, stores = 0, 0
-	s.ReplayEach(loadOnly, storeOnly)
+	s.Walk(func(_ int, c Chunk) bool {
+		c.Feed(loadOnly)
+		c.Feed(storeOnly)
+		return true
+	})
 	if loads != wantLoads || stores != wantStores {
-		t.Errorf("ReplayEach: partial sinks saw %d/%d, want %d/%d", loads, stores, wantLoads, wantStores)
+		t.Errorf("Walk: partial sinks saw %d/%d, want %d/%d", loads, stores, wantLoads, wantStores)
 	}
 }

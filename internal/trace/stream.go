@@ -3,11 +3,11 @@ package trace
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"rarpred/internal/check"
 	"rarpred/internal/funcsim"
 	"rarpred/internal/isa"
+	"rarpred/internal/metrics"
 	"rarpred/internal/runerr"
 )
 
@@ -112,6 +112,7 @@ func (c *chunk) columns(scp **eventScratch) (kinds []uint8, pcs, addrs, values [
 		*scp = getEventScratch()
 	}
 	sc := *scp
+	chunkDecodes.Inc()
 	if _, err := decodeEventChunk(c.packed, sc); err != nil {
 		// A sealed chunk's payload was produced (or validated) by this
 		// package's own codec; failing to decode it is memory corruption,
@@ -120,6 +121,11 @@ func (c *chunk) columns(scp **eventScratch) (kinds []uint8, pcs, addrs, values [
 	}
 	return sc.kinds, sc.pcs, sc.addrs, sc.values
 }
+
+// chunkDecodes counts sealed memory-stream chunks decoded for reading:
+// every replay surface decodes through chunk.columns, so the counter
+// shows how many times a run re-decodes the same stream.
+var chunkDecodes = metrics.Default().Counter("trace.stream.chunk_decodes")
 
 // NewStream returns an empty stream ready for Append.
 func NewStream() *Stream { return &Stream{} }
@@ -197,8 +203,8 @@ func (s *Stream) RawBytes() int64 { return int64(s.n) * eventBytes }
 
 // Replay feeds the stream to the sinks, in recorded order. Every sink
 // sees every event before the next event is delivered (lockstep), so
-// sinks may share per-event state. For independent sinks, ReplayEach
-// replays them concurrently instead.
+// sinks may share per-event state. Independent sinks can instead share
+// one decode per chunk through Walk.
 func (s *Stream) Replay(sinks ...Sink) {
 	if len(sinks) == 1 {
 		s.ReplayChunks(0, len(s.chunks), sinks[0])
@@ -238,27 +244,69 @@ func (s *Stream) NumChunks() int { return len(s.chunks) }
 
 // ReplayChunks feeds chunks [lo, hi) to snk, in recorded order. It is
 // the chunk-granular replay primitive: a consumer that walks the chunk
-// range itself can interleave replay with other work, and independent
-// consumers can each walk the immutable stream from their own
-// goroutine (see ReplayEach). The common SinkFuncs adapter is unwrapped
-// so each event costs one direct closure call instead of an interface
-// dispatch plus nil checks; a partial SinkFuncs (nil callback) skips
-// that event kind, exactly like the interface path.
+// range itself can interleave replay with other work. The common
+// SinkFuncs adapter is unwrapped so each event costs one direct closure
+// call instead of an interface dispatch plus nil checks; a partial
+// SinkFuncs (nil callback) skips that event kind, exactly like the
+// interface path.
 func (s *Stream) ReplayChunks(lo, hi int, snk Sink) {
 	onLoad, onStore := sinkCallbacks(snk)
 	var sc *eventScratch
 	for _, c := range s.chunks[lo:hi] {
 		kinds, pcs, addrs, values := c.columns(&sc)
-		for i, k := range kinds {
-			if Kind(k) == KindLoad {
-				onLoad(pcs[i], addrs[i], values[i])
-			} else {
-				onStore(pcs[i], addrs[i], values[i])
-			}
-		}
+		feed(kinds, pcs, addrs, values, onLoad, onStore)
 	}
 	if sc != nil {
 		putEventScratch(sc)
+	}
+}
+
+// Chunk is one chunk's events as struct-of-arrays columns, handed to a
+// Walk visitor. The slices alias scratch the walk owns: they are valid
+// only until the visitor returns.
+type Chunk struct {
+	Kinds  []uint8
+	PCs    []uint32
+	Addrs  []uint32
+	Values []uint32
+}
+
+// Feed replays the chunk's events into snk in recorded order, with
+// ReplayChunks' SinkFuncs unwrapping.
+func (c Chunk) Feed(snk Sink) {
+	onLoad, onStore := sinkCallbacks(snk)
+	feed(c.Kinds, c.PCs, c.Addrs, c.Values, onLoad, onStore)
+}
+
+// Walk is the chunk-major replay primitive: it decodes each chunk once,
+// in recorded order, into scratch the walk owns and calls visit with the
+// decoded columns. Independent consumers share that one decode by each
+// Feeding from the same visit — one decode per chunk however many sinks
+// read it. visit returning false ends the walk early; a panic in visit
+// propagates to the caller after the scratch is released.
+func (s *Stream) Walk(visit func(ci int, c Chunk) bool) {
+	var sc *eventScratch
+	defer func() {
+		if sc != nil {
+			putEventScratch(sc)
+		}
+	}()
+	for ci, c := range s.chunks {
+		kinds, pcs, addrs, values := c.columns(&sc)
+		if !visit(ci, Chunk{Kinds: kinds, PCs: pcs, Addrs: addrs, Values: values}) {
+			return
+		}
+	}
+}
+
+// feed is the replay inner loop over one chunk's columns.
+func feed(kinds []uint8, pcs, addrs, values []uint32, onLoad, onStore func(pc, addr, value uint32)) {
+	for i, k := range kinds {
+		if Kind(k) == KindLoad {
+			onLoad(pcs[i], addrs[i], values[i])
+		} else {
+			onStore(pcs[i], addrs[i], values[i])
+		}
 	}
 }
 
@@ -280,44 +328,6 @@ func sinkCallbacks(snk Sink) (onLoad, onStore func(pc, addr, value uint32)) {
 		return onLoad, onStore
 	}
 	return snk.Load, snk.Store
-}
-
-// ReplayEach replays the full stream into every sink concurrently: one
-// goroutine per sink, each consuming the immutable chunks at its own
-// pace via ReplayChunks. Unlike Replay, sinks are NOT in lockstep —
-// they must be independent of each other. ReplayEach returns once every
-// sink has seen every event; a panic in any sink is re-raised in the
-// caller's goroutine (first one wins), so the caller's recovery policy
-// applies as if the replay were inline.
-func (s *Stream) ReplayEach(sinks ...Sink) {
-	if len(sinks) == 1 {
-		s.ReplayChunks(0, len(s.chunks), sinks[0])
-		return
-	}
-	var (
-		wg       sync.WaitGroup
-		panicked any
-		once     sync.Once
-	)
-	n := len(s.chunks)
-	for _, snk := range sinks {
-		wg.Add(1)
-		go func(snk Sink) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { panicked = r })
-				}
-			}()
-			for c := 0; c < n; c++ {
-				s.ReplayChunks(c, c+1, snk)
-			}
-		}(snk)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }
 
 // Validate cross-checks the event tally against the execution profile

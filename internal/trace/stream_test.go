@@ -126,9 +126,10 @@ func TestReplayChunks(t *testing.T) {
 	}
 }
 
-// TestReplayEach: every sink sees the full stream in order when each
-// consumes it from its own goroutine.
-func TestReplayEach(t *testing.T) {
+// TestWalkDecodesOnceForEverySink: every sink fed from one Walk sees
+// the full stream in order, and each sealed chunk is decoded exactly
+// once however many sinks read it.
+func TestWalkDecodesOnceForEverySink(t *testing.T) {
 	s := NewStream()
 	const n = chunkEvents + 100
 	for i := 0; i < n; i++ {
@@ -138,6 +139,7 @@ func TestReplayEach(t *testing.T) {
 		}
 		s.Append(kind, uint32(i), 0, 0)
 	}
+	s.Seal()
 	const sinks = 4
 	counts := make([]int, sinks)
 	ordered := make([]bool, sinks)
@@ -155,7 +157,21 @@ func TestReplayEach(t *testing.T) {
 		}
 		all[i] = SinkFuncs{OnLoad: on, OnStore: on}
 	}
-	s.ReplayEach(all...)
+	before := chunkDecodes.Value()
+	var visited []int
+	s.Walk(func(ci int, c Chunk) bool {
+		visited = append(visited, ci)
+		for _, snk := range all {
+			c.Feed(snk)
+		}
+		return true
+	})
+	if got := chunkDecodes.Value() - before; got != uint64(s.NumChunks()) {
+		t.Errorf("walk decoded %d chunks, want %d (one per chunk)", got, s.NumChunks())
+	}
+	if len(visited) != s.NumChunks() || visited[0] != 0 || visited[1] != 1 {
+		t.Errorf("visited chunks %v, want 0..%d in order", visited, s.NumChunks()-1)
+	}
 	for i := 0; i < sinks; i++ {
 		if counts[i] != n {
 			t.Errorf("sink %d saw %d events, want %d", i, counts[i], n)
@@ -164,27 +180,46 @@ func TestReplayEach(t *testing.T) {
 			t.Errorf("sink %d saw events out of order", i)
 		}
 	}
+
+	var stopped int
+	s.Walk(func(ci int, c Chunk) bool {
+		stopped++
+		return false
+	})
+	if stopped != 1 {
+		t.Errorf("visitor returning false saw %d chunks, want 1", stopped)
+	}
 }
 
-// TestReplayEachPanicPropagates: a panic in one sink's goroutine
-// re-raises in the caller, so the harness's per-cell recovery owns it.
-func TestReplayEachPanicPropagates(t *testing.T) {
+// TestWalkPanicPropagates: a panic in the visitor re-raises in the
+// caller, so the harness's per-cell recovery owns it, and the walk's
+// decode scratch still goes back to the free list.
+func TestWalkPanicPropagates(t *testing.T) {
 	s := NewStream()
-	s.Append(KindLoad, 1, 2, 3)
-	s.Append(KindLoad, 4, 5, 6)
-	ok := SinkFuncs{OnLoad: func(_, _, _ uint32) {}, OnStore: func(_, _, _ uint32) {}}
-	bad := SinkFuncs{
-		OnLoad:  func(_, _, _ uint32) { panic("sink exploded") },
-		OnStore: func(_, _, _ uint32) {},
+	for i := 0; i < 2*chunkEvents; i++ {
+		s.Append(KindLoad, uint32(i), 2, 3)
 	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("panic did not propagate out of ReplayEach")
-		} else if r != "sink exploded" {
-			t.Fatalf("recovered %v, want the sink's panic value", r)
-		}
+	s.Seal()
+	s.ReplayChunks(0, s.NumChunks(), SinkFuncs{}) // warm the free list
+	idle := len(eventScratches.items)
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("panic did not propagate out of Walk")
+			} else if r != "sink exploded" {
+				t.Fatalf("recovered %v, want the visitor's panic value", r)
+			}
+		}()
+		s.Walk(func(ci int, c Chunk) bool {
+			if ci == 1 {
+				panic("sink exploded")
+			}
+			return true
+		})
 	}()
-	s.ReplayEach(ok, bad, ok)
+	if got := len(eventScratches.items); got != idle {
+		t.Errorf("free list holds %d scratches after the panic, want %d", got, idle)
+	}
 }
 
 // TestRecordStreamMatchesRecord: a recording long enough to seal
