@@ -18,7 +18,7 @@
 //	rarsim -exp all -live        # re-simulate per experiment (no cache)
 //	rarsim -exp all -cpuprofile cpu.pprof   # profile the run
 //	rarsim -exp all -timeout 10m -keepgoing # bounded, best-effort sweep
-//	rarsim -exp all -benchjson BENCH_suite.json  # machine-readable timings
+//	rarsim -exp all -benchjson suite.json   # machine-readable timings
 //	rarsim -exp all -store .rarstore        # persist traces + run journal
 //	rarsim -exp all -store .rarstore -resume  # continue an interrupted sweep
 //
@@ -262,12 +262,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Feed the scheduler a longest-first cost model from whatever timing
-	// history exists: a previous sweep's -benchjson payload, with the
-	// resume journal's exact per-cell seconds taking precedence. No
-	// history at all leaves the queue in paper order.
-	opt.CellCost = cellCost(*benchjson, jnl)
-
 	var failed []string
 	breport := newBenchReport(*parallel)
 	breport.store = artifacts
@@ -333,105 +327,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return finish(stderr, *traceStats, *memprofile, artifacts, failed)
-}
-
-// cellCost builds the scheduler's longest-processing-time cost model.
-// Estimates come from a previous sweep's -benchjson payload; the resume
-// journal's exact seconds override them for any cell it has seen (a
-// journaled-but-undecodable cell re-runs, and its last true runtime is
-// a better estimate than a stale benchmark). Returns nil when no source
-// exists, which keeps the queue in construction (paper) order.
-func cellCost(benchPath string, jnl *store.Journal) func(exp, wl string) (float64, bool) {
-	fromBench := loadBenchSeconds(benchPath)
-	if fromBench == nil && jnl == nil {
-		return nil
-	}
-	return func(exp, wl string) (float64, bool) {
-		if jnl != nil {
-			if sec, ok := jnl.Seconds(exp, wl); ok {
-				return sec, true
-			}
-		}
-		sec, ok := fromBench[[2]string{exp, wl}]
-		return sec, ok
-	}
-}
-
-// loadBenchSeconds parses just the per-cell timings out of an earlier
-// -benchjson payload. Two files can hold history: the file named by
-// -benchjson (usually last run's output, about to be overwritten) and
-// the committed BENCH_suite.json in the working directory. The sources
-// are tried newest-modification-first — an old leftover at the
-// -benchjson path must not shadow a freshly regenerated
-// BENCH_suite.json — with an exact tie going to the explicitly named
-// path (the user pointed at it). Cost estimation is best effort: any
-// missing file or parse problem just falls through to the other
-// source, then to "no estimates", never a failed run. Cells the
-// earlier run resumed from its journal carry near-zero seconds and are
-// skipped rather than mistaken for cheap.
-func loadBenchSeconds(benchPath string) map[[2]string]float64 {
-	for _, path := range benchSourceOrder(benchPath, "BENCH_suite.json") {
-		if m := parseBenchSeconds(path); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
-// benchSourceOrder ranks the candidate timing files newest-first by
-// modification time; a tie (or an unstattable fallback) keeps the
-// explicitly named path first.
-func benchSourceOrder(benchPath, fallback string) []string {
-	if benchPath == "" || benchPath == fallback {
-		return []string{fallback}
-	}
-	bi, berr := os.Stat(benchPath)
-	fi, ferr := os.Stat(fallback)
-	switch {
-	case berr != nil:
-		return []string{fallback, benchPath}
-	case ferr != nil:
-		return []string{benchPath, fallback}
-	case bi.ModTime().Before(fi.ModTime()):
-		return []string{fallback, benchPath}
-	default:
-		return []string{benchPath, fallback}
-	}
-}
-
-// parseBenchSeconds extracts non-resumed per-cell seconds from one
-// benchjson file, or nil if the file is missing, unparsable, or empty.
-func parseBenchSeconds(path string) map[[2]string]float64 {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var doc struct {
-		Experiments []struct {
-			ID    string `json:"id"`
-			Cells []struct {
-				Workload string  `json:"workload"`
-				Seconds  float64 `json:"seconds"`
-				Resumed  bool    `json:"resumed"`
-			} `json:"cells"`
-		} `json:"experiments"`
-	}
-	if json.Unmarshal(data, &doc) != nil {
-		return nil
-	}
-	m := make(map[[2]string]float64)
-	for _, e := range doc.Experiments {
-		for _, c := range e.Cells {
-			if c.Resumed {
-				continue
-			}
-			m[[2]string{e.ID, c.Workload}] = c.Seconds
-		}
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	return m
 }
 
 // expIDs renders the sweep's experiment list for the journal
@@ -501,8 +396,9 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, got s
 // serves, so the two reporting paths cannot drift; version 6 added the
 // supervision section and the store's circuit-breaker stats; version 7
 // dropped both again along with the mechanisms they described; version
-// 8 added each experiment's busy_seconds.
-const benchSchemaVersion = 8
+// 8 added each experiment's busy_seconds; version 9 dropped the store's
+// retries count with the retry it counted.
+const benchSchemaVersion = 9
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.
@@ -566,7 +462,6 @@ type benchStore struct {
 	BytesRead    uint64 `json:"bytes_read"`
 	BytesWritten uint64 `json:"bytes_written"`
 	Quarantines  uint64 `json:"quarantines"`
-	Retries      uint64 `json:"retries"`
 	SaveErrors   uint64 `json:"save_errors"`
 	// RawBytesWritten is the uncompressed payload of the artifacts behind
 	// BytesWritten; the gap between the two is what compression saved on
@@ -646,7 +541,6 @@ func (b *benchReport) write(path string) error {
 			BytesRead:       ss.BytesRead,
 			BytesWritten:    ss.BytesWritten,
 			Quarantines:     ss.Quarantines,
-			Retries:         ss.Retries,
 			SaveErrors:      ss.SaveErrors,
 			RawBytesWritten: ss.RawBytesWritten,
 			ResumedCells:    b.resumedCells,
@@ -691,11 +585,11 @@ func finish(stderr io.Writer, traceStats bool, memprofile string, artifacts *sto
 		if artifacts != nil {
 			ss := artifacts.Stats()
 			fmt.Fprintf(stderr,
-				"artifact store: %d disk hits, %d misses, %.1f MiB read, %.1f MiB written (%.1f MiB raw), %d quarantined, %d retries, %d save errors\n",
+				"artifact store: %d disk hits, %d misses, %.1f MiB read, %.1f MiB written (%.1f MiB raw), %d quarantined, %d save errors\n",
 				ss.DiskHits, ss.DiskMisses,
 				float64(ss.BytesRead)/(1<<20), float64(ss.BytesWritten)/(1<<20),
 				float64(ss.RawBytesWritten)/(1<<20),
-				ss.Quarantines, ss.Retries, ss.SaveErrors)
+				ss.Quarantines, ss.SaveErrors)
 		}
 	}
 

@@ -21,9 +21,9 @@ import (
 // monitoring on.
 //
 //   - -progress: a periodic one-line status on stderr (cells done/total,
-//     ETA from the scheduler's LPT cost estimates, cache residency,
-//     Minsts/s). On a TTY the line redraws in place via carriage
-//     return; piped to a file it degrades to plain lines.
+//     ETA from the cells retired so far, cache residency, Minsts/s).
+//     On a TTY the line redraws in place via carriage return; piped to
+//     a file it degrades to plain lines.
 //   - -httpmon addr: an HTTP server with /metrics (point-in-time JSON
 //     snapshot of the registry) and the standard net/http/pprof
 //     endpoints, shut down cleanly when the run drains (including on
@@ -46,8 +46,6 @@ type progressMonitor struct {
 	// own, so the ticker shares books with the subsystems).
 	cellsTotal *metrics.Gauge
 	cellsDone  *metrics.Gauge
-	costTotal  *metrics.Gauge
-	costDone   *metrics.Gauge
 	cacheBytes *metrics.Gauge
 	funcInsts  *metrics.Counter
 	pipeInsts  *metrics.Counter
@@ -79,8 +77,6 @@ func startProgress(out io.Writer) *progressMonitor {
 		ticker:     time.NewTicker(progressInterval),
 		cellsTotal: r.Gauge("suite.cells_total"),
 		cellsDone:  r.Gauge("suite.cells_done"),
-		costTotal:  r.Gauge("suite.cost_total_ms"),
-		costDone:   r.Gauge("suite.cost_done_ms"),
 		cacheBytes: r.Gauge("trace.cache.bytes"),
 		funcInsts:  r.Counter("funcsim.insts_committed"),
 		pipeInsts:  r.Counter("pipeline.insts_committed"),
@@ -124,9 +120,10 @@ func (m *progressMonitor) render() {
 
 	line := fmt.Sprintf("rarsim: %s", fmtDuration(now.Sub(m.start)))
 	if total := m.cellsTotal.Value(); total > 0 {
-		line += fmt.Sprintf(" | cells %d/%d", m.cellsDone.Value(), total)
-		if eta, ok := m.eta(now); ok {
-			line += fmt.Sprintf(" eta %s", fmtDuration(eta))
+		done := m.cellsDone.Value()
+		line += fmt.Sprintf(" | cells %d/%d", done, total)
+		if left, ok := eta(now.Sub(m.start), done, total); ok {
+			line += fmt.Sprintf(" eta %s", fmtDuration(left))
 		}
 	}
 	line += fmt.Sprintf(" | cache %.1f MiB | %.1f Minsts/s",
@@ -140,17 +137,16 @@ func (m *progressMonitor) render() {
 	fmt.Fprintln(m.out, line)
 }
 
-// eta projects time remaining from the LPT cost books: elapsed scaled
-// by the cost not yet retired. Nothing retired yet means no estimate.
-func (m *progressMonitor) eta(now time.Time) (time.Duration, bool) {
-	total, done := m.costTotal.Value(), m.costDone.Value()
-	if total <= 0 || done <= 0 {
+// eta projects time remaining from the cells retired so far: elapsed
+// scaled by the cells still to run over the cells done. Nothing retired
+// yet means no estimate.
+func eta(elapsed time.Duration, done, total int64) (time.Duration, bool) {
+	if done <= 0 {
 		return 0, false
 	}
 	if done >= total {
 		return 0, true
 	}
-	elapsed := now.Sub(m.start)
 	return time.Duration(float64(elapsed) * float64(total-done) / float64(done)), true
 }
 

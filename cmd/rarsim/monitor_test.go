@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -158,69 +157,26 @@ func TestBenchJSONMetricsConsistent(t *testing.T) {
 	}
 }
 
-// benchDoc renders a minimal parseable benchjson payload whose single
-// cell takes sec seconds — enough for loadBenchSeconds to distinguish
-// which file it read.
-func benchDoc(sec float64) string {
-	return fmt.Sprintf(`{"experiments":[{"id":"e","cells":[{"workload":"w","seconds":%g}]}]}`, sec)
-}
-
-// TestLoadBenchSecondsPrefersNewerFile covers the cost-model staleness
-// bug: when both the -benchjson path and BENCH_suite.json exist, the
-// more recently modified file wins; an exact mtime tie keeps the
-// explicitly named path; and a corrupt newer file falls through to the
-// older one rather than discarding estimates.
-func TestLoadBenchSecondsPrefersNewerFile(t *testing.T) {
-	dir := t.TempDir()
-	t.Chdir(dir)
-	named := filepath.Join(dir, "last.json")
-	fallback := "BENCH_suite.json"
-	old := time.Now().Add(-time.Hour)
-	write := func(path, content string, mtime time.Time) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
+// TestETAFromCellCounts: the -progress ETA scales elapsed time by the
+// cells still to run over the cells done. It gives no estimate before
+// the first cell retires and reads exactly zero once every cell has.
+func TestETAFromCellCounts(t *testing.T) {
+	const elapsed = 10 * time.Second
+	if _, ok := eta(elapsed, 0, 324); ok {
+		t.Error("eta gave an estimate before any cell retired")
+	}
+	for _, tc := range []struct {
+		done, total int64
+		want        time.Duration
+	}{
+		{81, 324, 30 * time.Second},
+		{162, 324, 10 * time.Second},
+		{243, 324, elapsed / 3},
+		{324, 324, 0},
+	} {
+		got, ok := eta(elapsed, tc.done, tc.total)
+		if !ok || got != tc.want {
+			t.Errorf("eta(%v, %d, %d) = %v, %v; want %v", elapsed, tc.done, tc.total, got, ok, tc.want)
 		}
-		if err := os.Chtimes(path, mtime, mtime); err != nil {
-			t.Fatal(err)
-		}
-	}
-	secondsOf := func(m map[[2]string]float64) float64 {
-		t.Helper()
-		if m == nil {
-			t.Fatal("loadBenchSeconds returned nil")
-		}
-		return m[[2]string{"e", "w"}]
-	}
-
-	// Fallback strictly newer than the named file: fallback wins.
-	write(named, benchDoc(1), old)
-	write(fallback, benchDoc(2), old.Add(time.Minute))
-	if got := secondsOf(loadBenchSeconds(named)); got != 2 {
-		t.Errorf("newer BENCH_suite.json ignored: got %g seconds, want 2", got)
-	}
-
-	// Named file strictly newer: named wins.
-	write(named, benchDoc(1), old.Add(2*time.Minute))
-	if got := secondsOf(loadBenchSeconds(named)); got != 1 {
-		t.Errorf("newer -benchjson file ignored: got %g seconds, want 1", got)
-	}
-
-	// Exact tie: the explicitly named path wins.
-	write(named, benchDoc(1), old)
-	write(fallback, benchDoc(2), old)
-	if got := secondsOf(loadBenchSeconds(named)); got != 1 {
-		t.Errorf("mtime tie did not prefer the named file: got %g seconds, want 1", got)
-	}
-
-	// Corrupt newer file: fall through to the older parseable one.
-	write(named, "not json", old.Add(time.Minute))
-	if got := secondsOf(loadBenchSeconds(named)); got != 2 {
-		t.Errorf("corrupt newer file did not fall through: got %g seconds, want 2", got)
-	}
-
-	// No named path at all: fallback alone.
-	if got := secondsOf(loadBenchSeconds("")); got != 2 {
-		t.Errorf("empty -benchjson path: got %g seconds, want 2", got)
 	}
 }

@@ -94,12 +94,12 @@ func TestSchedulerIsolatesPanickingCells(t *testing.T) {
 }
 
 // TestBenchJSONWritten: -benchjson emits the machine-readable suite
-// report with per-experiment cells and scheduler utilization. Schema v8
+// report with per-experiment cells and scheduler utilization. Schema v9
 // carries each experiment's busy_seconds, the sum of its cells'
-// seconds, and no supervision section or store breaker stats, even with
-// -store armed.
+// seconds, and no supervision section, store breaker stats or store
+// retries count, even with -store armed.
 func TestBenchJSONWritten(t *testing.T) {
-	path := t.TempDir() + "/BENCH_suite.json"
+	path := t.TempDir() + "/suite.json"
 	code, _, errw := runCLI("-exp", "table51,fig2", "-size", "3",
 		"-bench", "go,gcc", "-store", t.TempDir(), "-benchjson", path)
 	if code != 0 {
@@ -117,8 +117,8 @@ func TestBenchJSONWritten(t *testing.T) {
 	}
 
 	m := readBench(t, path)
-	if v := m["schema_version"].(float64); v != 8 {
-		t.Errorf("schema_version = %v, want 8", v)
+	if v := m["schema_version"].(float64); v != 9 {
+		t.Errorf("schema_version = %v, want 9", v)
 	}
 	for _, raw := range m["experiments"].([]any) {
 		e := raw.(map[string]any)
@@ -144,13 +144,16 @@ func TestBenchJSONWritten(t *testing.T) {
 	if _, ok := st["breaker"]; ok {
 		t.Errorf("store section carries breaker stats:\n%s", data)
 	}
+	if _, ok := st["retries"]; ok {
+		t.Errorf("store section carries a retries count:\n%s", data)
+	}
 }
 
 // TestBenchJSONOmitsSupervisionWhenUnarmed: a plain run without -store
 // emits neither a supervise section nor store breaker stats, matching
-// the v8 schema.
+// the v9 schema.
 func TestBenchJSONOmitsSupervisionWhenUnarmed(t *testing.T) {
-	path := t.TempDir() + "/BENCH_suite.json"
+	path := t.TempDir() + "/suite.json"
 	code, _, errw := runCLI("-exp", "fig2", "-size", "14", "-bench", "go,gcc",
 		"-benchjson", path)
 	if code != 0 {

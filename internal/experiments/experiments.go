@@ -274,10 +274,8 @@ type CellRunner interface {
 // attempt.
 type SuiteJournal interface {
 	Lookup(exp, workload string) ([]byte, bool)
-	// Record appends one completed cell: its encoded row plus the wall
-	// seconds the cell took, which future runs can feed back through
-	// Options.CellCost to schedule longest-first.
-	Record(exp, workload string, row []byte, seconds float64) error
+	// Record appends one completed cell's encoded row.
+	Record(exp, workload string, row []byte) error
 }
 
 // RowCodec is implemented by cell runners whose rows can round-trip

@@ -81,7 +81,6 @@ type suiteJob struct {
 	key   trace.Key
 	pin   bool
 	costs []float64 // per-cell cost estimates, seconds (+Inf = unknown)
-	est   []int64   // per-cell ETA estimates, ms (suite.cost_* gauges)
 }
 
 // cost is the job's LPT cost: the sum of its cells' costs, unknown
@@ -286,40 +285,25 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	// bet); the sort is stable, so with no estimates at all the original
 	// order survives. Only execution order changes: stream pins were
 	// taken above and delivery is buffered into suite order regardless.
+	// Without a cost model (rarsim sets none) jobs run in construction
+	// order: the suite opens with stream experiments, so every
+	// workload's pass is queued ahead of the timing cells.
 	if opt.CellCost != nil {
 		sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].cost() > jobs[b].cost() })
 	}
 
-	// Stamp each cell with its ETA estimate and reset the suite gauges
-	// the -progress ticker reads. The estimates feed monitoring only;
-	// scheduling ran on the raw costs above.
-	var cellCosts []float64
-	for _, j := range jobs {
-		cellCosts = append(cellCosts, j.costs...)
-	}
-	est := estimateCosts(cellCosts)
-	var totalMs int64
-	for _, j := range jobs {
-		j.est = make([]int64, len(j.costs))
-		for k := range j.est {
-			j.est[k] = int64(est[0] * 1e3)
-			totalMs += j.est[k]
-			est = est[1:]
-		}
-	}
+	// Reset the suite gauges the -progress ticker reads.
 	workers := opt.parallelism()
 	suiteCellsTotal.Set(int64(cells))
 	suiteCellsDone.Set(0)
 	suiteQueueDepth.Set(int64(cells))
 	suiteWorkers.Set(int64(workers))
 	suiteWorkersBusy.Set(0)
-	suiteCostTotal.Set(totalMs)
-	suiteCostDone.Set(0)
 
 	var busy int64 // nanoseconds, atomic
 	// retire records one finished cell and assembles its experiment once
 	// the experiment's last cell is in.
-	retire := func(ei, wi int, estMs int64, m *member) {
+	retire := func(ei, wi int, m *member) {
 		st := states[ei]
 		w := ws[wi]
 		row, err, elapsed := m.row, m.err, m.elapsed
@@ -328,15 +312,12 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		}
 		metrics.Default().ObserveSpan("cell", elapsed)
 		suiteCellsDone.Add(1)
-		suiteCostDone.Add(estMs)
 		if err == nil && opt.Journal != nil {
 			// Journal the finished cell durably, best effort: a failed
 			// append costs only this cell's resumability, never the run.
-			// The cell's wall seconds ride along so a resumed run can
-			// schedule longest-first.
 			if codec, ok := st.exp.Cells.(RowCodec); ok {
 				if enc, eerr := codec.EncodeRow(row); eerr == nil {
-					_ = opt.Journal.Record(st.exp.ID, w.Name, enc, elapsed.Seconds())
+					_ = opt.Journal.Record(st.exp.ID, w.Name, enc)
 				}
 			}
 		}
@@ -388,7 +369,7 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				}
 				suiteWorkersBusy.Add(-1)
 				for k, m := range ms {
-					retire(j.eis[k], j.wi, j.est[k], m)
+					retire(j.eis[k], j.wi, m)
 				}
 			}
 		}()

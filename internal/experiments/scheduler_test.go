@@ -119,10 +119,7 @@ func TestSuiteLPTWithResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl.Record("synthM", ws[0].Name, enc, 2.5)
-	if sec, ok := jnl.secs["synthM/"+ws[0].Name]; !ok || sec != 2.5 {
-		t.Fatalf("journal seconds = %v, %v; want 2.5", sec, ok)
-	}
+	jnl.Record("synthM", ws[0].Name, enc)
 
 	var mu sync.Mutex
 	var order []string

@@ -61,7 +61,7 @@ type Fault struct {
 	After int
 	// Times bounds how many triggers the fault delivers before it
 	// disarms (0 = every time). Times=1 makes a "transient" fault: the
-	// first recording fails, a retry succeeds.
+	// first recording fails, and the next request re-records cleanly.
 	Times int
 }
 
@@ -188,8 +188,8 @@ const (
 	// DiskTruncate drops the tail of the written payload (more than a
 	// torn write — down to the first quarter), reporting success.
 	DiskTruncate
-	// DiskENOSPC fails the write outright with an out-of-space error —
-	// the transient shape the store's bounded retry exists for.
+	// DiskENOSPC fails the write outright with an out-of-space error;
+	// the store counts a save error and the run carries on from memory.
 	DiskENOSPC
 	// DiskSlowSync delays Sync by the fault's Delay without corrupting
 	// anything, modelling a device that is slow to make data durable.
@@ -219,8 +219,8 @@ type DiskFault struct {
 	Kind DiskKind
 	// Times bounds how many operations the fault corrupts or fails
 	// before it disarms (0 = every matching operation). Times=1 makes a
-	// transient fault: the first attempt fails, the store's retry
-	// succeeds.
+	// transient fault: the first operation fails and the next one, a
+	// later save or load, succeeds.
 	Times int
 	// Delay is how long DiskSlowSync stalls each Sync.
 	Delay time.Duration

@@ -45,9 +45,9 @@ var (
 	ErrStoreCorrupt = errors.New("stored artifact corrupt")
 
 	// ErrDiskFault: a filesystem operation against the artifact store
-	// failed (write error, rename failure, out of space) and stayed
-	// failed through the bounded retry. Persistence is lost for that
-	// artifact; the in-memory run continues.
+	// failed (write error, rename failure, out of space). The store
+	// makes one attempt per operation; persistence is lost for that
+	// artifact and the in-memory run continues.
 	ErrDiskFault = errors.New("artifact store I/O failed")
 )
 

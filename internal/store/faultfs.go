@@ -7,9 +7,9 @@ import (
 	"rarpred/internal/faultsim"
 )
 
-// ErrNoSpace is the injected out-of-space failure. It is transient from
-// the store's perspective (retry may succeed once the fault disarms),
-// matching how a briefly-full disk behaves in a real campaign.
+// ErrNoSpace is the injected out-of-space failure. The store makes one
+// attempt per operation, so it surfaces as a typed ErrDiskFault and a
+// save error; a later save succeeds once the fault disarms.
 var ErrNoSpace = errors.New("no space left on device (injected)")
 
 // FaultFS wraps another FS and applies the faultsim disk-fault table to

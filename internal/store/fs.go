@@ -11,9 +11,9 @@
 // degradation ladder (drop the poisoned entry, re-record live). Writes
 // publish atomically — encode to a temp file, fsync, rename — so a
 // crash at any instant leaves either the old artifact or the new one,
-// never a half-written file under the live name. Transient I/O failures
-// get a bounded retry with exponential backoff and jitter before the
-// store gives up and the run continues memory-only.
+// never a half-written file under the live name. Each load and save is
+// one attempt: a failed load is a cache miss that re-records, and a
+// failed save is counted and the run continues memory-only.
 //
 // All filesystem access goes through the FS seam so the faultsim disk
 // injector can deterministically exercise every recovery path.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,13 +28,8 @@ func TestJournalRecordAndResume(t *testing.T) {
 		{"fig2", "gcc_like"}: []byte("row-gcc"),
 		{"fig5", "go_like"}:  []byte("row-go-5"),
 	}
-	secs := map[[2]string]float64{
-		{"fig2", "go_like"}:  1.5,
-		{"fig2", "gcc_like"}: 0.25,
-		{"fig5", "go_like"}:  12.75,
-	}
 	for k, row := range cells {
-		if err := j.Record(k[0], k[1], row, secs[k]); err != nil {
+		if err := j.Record(k[0], k[1], row); err != nil {
 			t.Fatalf("Record(%v): %v", k, err)
 		}
 	}
@@ -55,20 +51,11 @@ func TestJournalRecordAndResume(t *testing.T) {
 			t.Fatalf("Lookup(%v) = %q, %v; want %q", k, got, ok, want)
 		}
 	}
-	for k, want := range secs {
-		got, ok := r.Seconds(k[0], k[1])
-		if !ok || got != want {
-			t.Fatalf("Seconds(%v) = %v, %v; want %v", k, got, ok, want)
-		}
-	}
 	if _, ok := r.Lookup("fig5", "gcc_like"); ok {
 		t.Fatal("Lookup invented a cell that was never journaled")
 	}
-	if _, ok := r.Seconds("fig5", "gcc_like"); ok {
-		t.Fatal("Seconds invented a cell that was never journaled")
-	}
 	// The resumed journal appends cleanly past the existing records.
-	if err := r.Record("fig5", "gcc_like", []byte("late"), 0); err != nil {
+	if err := r.Record("fig5", "gcc_like", []byte("late")); err != nil {
 		t.Fatalf("Record after resume: %v", err)
 	}
 	r.Close()
@@ -107,8 +94,8 @@ func TestJournalTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Record("fig2", "go_like", []byte("good-1"), 1)
-		j.Record("fig2", "gcc_like", []byte("good-2"), 2)
+		j.Record("fig2", "go_like", []byte("good-1"))
+		j.Record("fig2", "gcc_like", []byte("good-2"))
 		j.Close()
 		sizeBefore := fileSize(t, path)
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -128,7 +115,7 @@ func TestJournalTornTail(t *testing.T) {
 		if got := fileSize(t, path); got != sizeBefore {
 			t.Fatalf("torn tail %x: file is %d bytes, want repaired to %d", tail, got, sizeBefore)
 		}
-		if err := r.Record("fig2", "li_like", []byte("post-repair"), 3); err != nil {
+		if err := r.Record("fig2", "li_like", []byte("post-repair")); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
 		r.Close()
@@ -146,7 +133,7 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record("fig2", "go_like", []byte("row"), 0)
+	j.Record("fig2", "go_like", []byte("row"))
 	j.Close()
 	_, err = ResumeJournal(OS{}, path, "v1 exp=fig9 size=6 bench= live=false check=false")
 	if !errors.Is(err, ErrJournalMismatch) {
@@ -163,7 +150,7 @@ func TestJournalCorruptHeaderQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record("fig2", "go_like", []byte("row"), 0)
+	j.Record("fig2", "go_like", []byte("row"))
 	j.Close()
 	data, _ := os.ReadFile(path)
 	data[2] ^= 0xff // damage the magic
@@ -182,37 +169,63 @@ func TestJournalCorruptHeaderQuarantined(t *testing.T) {
 	}
 }
 
-// TestJournalOldVersionQuarantined: a version-1 journal (no per-cell
-// seconds) is quarantined on resume and the run starts a fresh journal,
-// rather than failing or misparsing records under the v2 layout.
+// TestJournalOldVersionQuarantined: a journal of an earlier layout is
+// quarantined on resume and the run starts a fresh journal, rather than
+// failing or misparsing records under the current layout. Version 1
+// records had no per-cell seconds; version 2 records carried them, and
+// v2 is the only layout whose journals can hold the "\x00breaker" note
+// records older builds wrote for store circuit-breaker transitions.
 func TestJournalOldVersionQuarantined(t *testing.T) {
-	path := journalFile(t)
-	j, err := CreateJournal(OS{}, path, testFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Record("fig2", "go_like", []byte("row"), 1)
-	j.Close()
-	data, _ := os.ReadFile(path)
-	// Rewrite the header as version 1 and fix its checksum so only the
-	// version differs from a healthy journal.
-	data[4] = 1
-	fpLen := int(uint32(data[8]) | uint32(data[9])<<8 | uint32(data[10])<<16 | uint32(data[11])<<24)
-	crc := crc32.Checksum(data[:12+fpLen], castagnoli)
-	binary.LittleEndian.PutUint32(data[12+fpLen:], crc)
-	os.WriteFile(path, data, 0o644)
+	for _, v := range []uint16{1, 2} {
+		// Rewrite a healthy header as version v and fix its checksum so
+		// only the version differs.
+		data := journalHeader(testFP)
+		fpLen := len(testFP)
+		binary.LittleEndian.PutUint16(data[4:], v)
+		binary.LittleEndian.PutUint32(data[12+fpLen:], crc32.Checksum(data[:12+fpLen], castagnoli))
+		data = appendOldRecord(data, v, "fig2", "go_like", "row")
+		if v == 2 {
+			data = appendOldRecord(data, v, "\x00breaker", "closed->open", "")
+		}
+		path := journalFile(t)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	r, err := ResumeJournal(OS{}, path, testFP)
-	if err != nil {
-		t.Fatalf("resume over v1 journal: %v", err)
+		r, err := ResumeJournal(OS{}, path, testFP)
+		if err != nil {
+			t.Fatalf("resume over v%d journal: %v", v, err)
+		}
+		if r.Resumed() != 0 {
+			t.Fatalf("v%d journal yielded %d cells", v, r.Resumed())
+		}
+		if _, ok := r.Lookup("fig2", "go_like"); ok {
+			t.Fatalf("v%d journal's cell surfaced after resume", v)
+		}
+		if _, serr := os.Stat(path + ".quarantined"); serr != nil {
+			t.Fatalf("v%d journal not quarantined: %v", v, serr)
+		}
+		r.Close()
 	}
-	defer r.Close()
-	if r.Resumed() != 0 {
-		t.Fatalf("v1 journal yielded %d cells", r.Resumed())
+}
+
+// appendOldRecord frames one record as the version-v writer did:
+// len u32 | payload | crc32c(payload), where v2 payloads end in the
+// cell's seconds as an f64.
+func appendOldRecord(buf []byte, v uint16, exp, wl, row string) []byte {
+	var payload []byte
+	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(exp)))
+	payload = append(payload, exp...)
+	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(wl)))
+	payload = append(payload, wl...)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(row)))
+	payload = append(payload, row...)
+	if v == 2 {
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(1.5))
 	}
-	if _, serr := os.Stat(path + ".quarantined"); serr != nil {
-		t.Fatalf("v1 journal not quarantined: %v", serr)
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
 }
 
 // TestJournalCreateDiscardsPrevious: a run without -resume must not
@@ -220,7 +233,7 @@ func TestJournalOldVersionQuarantined(t *testing.T) {
 func TestJournalCreateDiscardsPrevious(t *testing.T) {
 	path := journalFile(t)
 	j, _ := CreateJournal(OS{}, path, testFP)
-	j.Record("fig2", "go_like", []byte("stale"), 0)
+	j.Record("fig2", "go_like", []byte("stale"))
 	j.Close()
 	j2, err := CreateJournal(OS{}, path, testFP)
 	if err != nil {
@@ -244,75 +257,4 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
-}
-
-// TestJournalSkipsLegacyNoteRecords: older builds journaled store
-// circuit-breaker transitions as annotation records whose experiment
-// field is "\x00breaker". Such a journal must still resume, with the
-// notes neither counted as cells nor visible through Lookup.
-func TestJournalSkipsLegacyNoteRecords(t *testing.T) {
-	path := journalFile(t)
-	j, err := CreateJournal(OS{}, path, testFP)
-	if err != nil {
-		t.Fatalf("CreateJournal: %v", err)
-	}
-	if err := j.Record("fig2", "go_like", []byte("row-go"), 1.5); err != nil {
-		t.Fatalf("Record: %v", err)
-	}
-	j.Close()
-
-	// Frame the legacy note by hand, exactly as the old writer did:
-	// len u32 | payload | crc32c(payload), with an empty row and zero
-	// seconds.
-	appendRecord := func(exp, wl string) {
-		var payload []byte
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(exp)))
-		payload = append(payload, exp...)
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(wl)))
-		payload = append(payload, wl...)
-		payload = binary.LittleEndian.AppendUint32(payload, 0)
-		payload = binary.LittleEndian.AppendUint64(payload, 0)
-		rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-		rec = append(rec, payload...)
-		rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, castagnoli))
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if _, err := f.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	appendRecord("\x00breaker", "closed->open")
-	appendRecord("\x00breaker", "open->half-open")
-
-	r, err := ResumeJournal(OS{}, path, testFP)
-	if err != nil {
-		t.Fatalf("ResumeJournal: %v", err)
-	}
-	defer r.Close()
-	if r.Resumed() != 1 {
-		t.Fatalf("Resumed() = %d, want 1 (notes are not cells)", r.Resumed())
-	}
-	if row, ok := r.Lookup("fig2", "go_like"); !ok || string(row) != "row-go" {
-		t.Fatalf("Lookup(fig2, go_like) = %q, %v", row, ok)
-	}
-	if _, ok := r.Lookup("\x00breaker", "closed->open"); ok {
-		t.Fatal("a legacy note surfaced as a journaled cell")
-	}
-	// The note records are intact, so resume keeps them and appends
-	// after them rather than truncating.
-	if err := r.Record("fig5", "go_like", []byte("late"), 0); err != nil {
-		t.Fatalf("Record after resume: %v", err)
-	}
-	r.Close()
-	r2, err := ResumeJournal(OS{}, path, testFP)
-	if err != nil {
-		t.Fatalf("second resume: %v", err)
-	}
-	defer r2.Close()
-	if r2.Resumed() != 2 {
-		t.Fatalf("after append, Resumed() = %d, want 2", r2.Resumed())
-	}
 }

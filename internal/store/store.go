@@ -2,33 +2,14 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"sync"
-	"time"
 
 	"rarpred/internal/check"
 	"rarpred/internal/metrics"
 	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
 )
-
-// RetryPolicy bounds how hard the store fights transient I/O failures
-// before giving up: Attempts total tries per operation, sleeping
-// Base<<n plus up to 50% jitter between them (capped at Max). Corruption
-// is never retried — a checksum mismatch is a fact about the bytes, not
-// the weather.
-type RetryPolicy struct {
-	Attempts int
-	Base     time.Duration
-	Max      time.Duration
-}
-
-// DefaultRetry is the production policy: three tries, 5ms/10ms between
-// them — enough to ride out a transient hiccup without stalling a cell.
-var DefaultRetry = RetryPolicy{Attempts: 3, Base: 5 * time.Millisecond, Max: 250 * time.Millisecond}
 
 // Stats is a snapshot of the store's effectiveness and failure history.
 type Stats struct {
@@ -45,10 +26,8 @@ type Stats struct {
 	RawBytesWritten uint64
 	// Quarantines counts corrupt files renamed aside (never served).
 	Quarantines uint64
-	// Retries counts transient I/O failures that were retried.
-	Retries uint64
-	// SaveErrors counts artifacts that could not be persisted even after
-	// retry (the run continued memory-only).
+	// SaveErrors counts artifacts that could not be persisted (the run
+	// continued memory-only).
 	SaveErrors uint64
 }
 
@@ -58,13 +37,8 @@ type Stats struct {
 // trace.Cache (Cache.SetTier) gives every recording a durable second
 // tier behind the in-memory one. A Store is safe for concurrent use.
 type Store struct {
-	dir   string
-	fs    FS
-	retry RetryPolicy
-	sleep func(time.Duration)
-
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
+	dir string
+	fs  FS
 
 	// Counters are metrics instruments so RegisterMetrics can expose
 	// the store's own books — Stats, -benchjson, and /metrics all read
@@ -73,7 +47,6 @@ type Store struct {
 	bytesRead, bytesWritten metrics.Counter
 	rawBytesWritten         metrics.Counter
 	quarantines             metrics.Counter
-	retries                 metrics.Counter
 	saveErrors              metrics.Counter
 }
 
@@ -84,34 +57,9 @@ type Option func(*Store)
 // faultsim disk injector).
 func WithFS(fs FS) Option { return func(s *Store) { s.fs = fs } }
 
-// WithRetry substitutes the transient-failure retry policy.
-func WithRetry(p RetryPolicy) Option { return func(s *Store) { s.retry = p } }
-
-// WithSleep substitutes the backoff sleeper (tests pass a no-op).
-func WithSleep(f func(time.Duration)) Option { return func(s *Store) { s.sleep = f } }
-
-// WithJitterSource substitutes the backoff jitter's randomness source.
-// Tests inject a fixed seed for reproducible backoff sequences; by
-// default every Store draws its own seed so no two stores — in one
-// process or across processes sharing a disk — jitter in lockstep.
-func WithJitterSource(src rand.Source) Option {
-	return func(s *Store) { s.jitter = rand.New(src) }
-}
-
 // Open creates (or reuses) the artifact store rooted at dir.
 func Open(dir string, opts ...Option) (*Store, error) {
-	s := &Store{
-		dir:   dir,
-		fs:    OS{},
-		retry: DefaultRetry,
-		sleep: time.Sleep,
-		// Seeded from the process-global generator (itself randomly
-		// seeded since Go 1.20), so concurrent retries desynchronise
-		// across stores and across processes contending on one disk.
-		// Backoff jitter is the one place the store is deliberately
-		// nondeterministic; tests pin it with WithJitterSource.
-		jitter: rand.New(rand.NewSource(rand.Int63())),
-	}
+	s := &Store{dir: dir, fs: OS{}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -150,7 +98,6 @@ func (s *Store) Stats() Stats {
 		BytesWritten:    s.bytesWritten.Value(),
 		RawBytesWritten: s.rawBytesWritten.Value(),
 		Quarantines:     s.quarantines.Value(),
-		Retries:         s.retries.Value(),
 		SaveErrors:      s.saveErrors.Value(),
 	}
 }
@@ -167,45 +114,7 @@ func (s *Store) RegisterMetrics(r *metrics.Registry, prefix string) {
 	r.RegisterCounter(prefix+".bytes_written", &s.bytesWritten)
 	r.RegisterCounter(prefix+".raw_bytes_written", &s.rawBytesWritten)
 	r.RegisterCounter(prefix+".quarantines", &s.quarantines)
-	r.RegisterCounter(prefix+".retries", &s.retries)
 	r.RegisterCounter(prefix+".save_errors", &s.saveErrors)
-}
-
-// backoff sleeps before retry attempt n (0-based), exponential with up
-// to 50% jitter.
-func (s *Store) backoff(n int) {
-	d := s.retry.Base << uint(n)
-	if s.retry.Max > 0 && d > s.retry.Max {
-		d = s.retry.Max
-	}
-	if d <= 0 {
-		return
-	}
-	s.jitterMu.Lock()
-	j := time.Duration(s.jitter.Int63n(int64(d)/2 + 1))
-	s.jitterMu.Unlock()
-	s.sleep(d + j)
-}
-
-// withRetry runs op up to the policy's attempt budget, backing off
-// between transient failures. Corruption errors and missing files are
-// returned immediately — retrying cannot change the bytes on disk.
-func (s *Store) withRetry(op func() error) error {
-	attempts := max(s.retry.Attempts, 1)
-	var err error
-	for n := 0; n < attempts; n++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if errors.Is(err, runerr.ErrStoreCorrupt) || IsNotExist(err) {
-			return err
-		}
-		if n+1 < attempts {
-			s.retries.Add(1)
-			s.backoff(n)
-		}
-	}
-	return err
 }
 
 // quarantine renames a corrupt file aside so it is preserved for
@@ -226,12 +135,7 @@ func (s *Store) quarantine(path string) {
 // by live re-recording while the evidence is kept.
 func (s *Store) Load(key trace.Key) (trace.Cached, error) {
 	path := s.artifactPath(key)
-	var data []byte
-	err := s.withRetry(func() error {
-		var rerr error
-		data, rerr = s.fs.ReadFile(path)
-		return rerr
-	})
+	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		if IsNotExist(err) {
 			s.diskMisses.Add(1)
@@ -278,8 +182,8 @@ func (s *Store) Load(key trace.Key) (trace.Cached, error) {
 // point leaves either no artifact or a complete one, and a reader can
 // never observe a half-written file. The encoding streams one framed
 // chunk per write, so peak memory during save is one chunk's frame, not
-// the whole artifact. Failures (after bounded retry) are reported but
-// non-fatal to the caller's run; the artifact simply is not persisted.
+// the whole artifact. Failures are reported but non-fatal to the
+// caller's run; the artifact simply is not persisted.
 func (s *Store) Store(key trace.Key, v trace.Cached) error {
 	var writeTo func(io.Writer) (int64, error)
 	var raw int64
@@ -294,12 +198,7 @@ func (s *Store) Store(key trace.Key, v trace.Cached) error {
 		return fmt.Errorf("store: cannot persist %T", v)
 	}
 	path := s.artifactPath(key)
-	var written int64
-	err := s.withRetry(func() error {
-		var perr error
-		written, perr = s.publish(path, writeTo)
-		return perr
-	})
+	written, err := s.publish(path, writeTo)
 	if err != nil {
 		s.saveErrors.Add(1)
 		return fmt.Errorf("%w: writing %s: %w", runerr.ErrDiskFault, path, err)
@@ -309,7 +208,7 @@ func (s *Store) Store(key trace.Key, v trace.Cached) error {
 	return nil
 }
 
-// publish is one atomic-write attempt: temp file, streamed write,
+// publish is one atomic write: temp file, streamed write,
 // fsync, close, rename. Any failure removes the temp file; the live
 // name is only ever touched by the final rename. The temp name embeds
 // the artifact's base name so a disk fault armed on a workload pattern

@@ -230,41 +230,24 @@ func TestInjectedCorruptionQuarantined(t *testing.T) {
 	}
 }
 
-func TestTransientENOSPCRetried(t *testing.T) {
-	defer faultsim.Reset()
-	s := openTestStore(t,
-		WithFS(NewFaultFS(OS{}, nil)),
-		WithSleep(func(time.Duration) {}))
-	key := trace.Key{Workload: "full_once", Size: 3, MaxInsts: 50}
-	faultsim.InjectDisk(key.Workload, faultsim.DiskFault{Kind: faultsim.DiskENOSPC, Times: 1})
-	if err := s.Store(key, buildStream(500)); err != nil {
-		t.Fatalf("Store after transient ENOSPC: %v", err)
-	}
-	st := s.Stats()
-	if st.Retries == 0 {
-		t.Fatalf("transient failure consumed no retry: %+v", st)
-	}
-	if v, err := s.Load(key); v == nil || err != nil {
-		t.Fatalf("retried artifact unreadable: (%v, %v)", v, err)
-	}
-}
-
 func TestPersistentENOSPCFailsTyped(t *testing.T) {
 	defer faultsim.Reset()
-	s := openTestStore(t,
-		WithFS(NewFaultFS(OS{}, nil)),
-		WithSleep(func(time.Duration) {}))
+	spy := &writeSpyFS{FS: NewFaultFS(OS{}, nil)}
+	s := openTestStore(t, WithFS(spy))
 	key := trace.Key{Workload: "full_always", Size: 3, MaxInsts: 50}
 	faultsim.InjectDisk(key.Workload, faultsim.DiskFault{Kind: faultsim.DiskENOSPC})
 	err := s.Store(key, buildStream(500))
 	if !errors.Is(err, runerr.ErrDiskFault) {
 		t.Fatalf("persistent ENOSPC: error not typed ErrDiskFault: %v", err)
 	}
-	st := s.Stats()
-	if st.SaveErrors != 1 || st.Retries != uint64(DefaultRetry.Attempts-1) {
+	// One attempt: one temp file created, one save error, and no
+	// half-written temp file left behind.
+	if spy.creates != 1 {
+		t.Fatalf("persistent ENOSPC: %d publish attempts, want 1", spy.creates)
+	}
+	if st := s.Stats(); st.SaveErrors != 1 {
 		t.Fatalf("stats after persistent failure: %+v", st)
 	}
-	// No half-written temp files left behind.
 	ents, _ := os.ReadDir(s.tracesDir())
 	for _, e := range ents {
 		t.Fatalf("stray file after failed publish: %s", e.Name())

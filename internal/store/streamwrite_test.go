@@ -9,12 +9,14 @@ import (
 
 // writeSpyFS wraps an FS and records the size of every Write issued to
 // files it created, so tests can prove the save path streams an
-// artifact chunk-by-chunk instead of buffering the whole encoding.
+// artifact chunk-by-chunk instead of buffering the whole encoding. It
+// also counts temp files created: one per publish attempt.
 type writeSpyFS struct {
 	FS
 	mu       sync.Mutex
 	maxWrite int
 	total    int64
+	creates  int
 }
 
 type writeSpyFile struct {
@@ -23,6 +25,9 @@ type writeSpyFile struct {
 }
 
 func (s *writeSpyFS) CreateTemp(dir, pattern string) (File, string, error) {
+	s.mu.Lock()
+	s.creates++
+	s.mu.Unlock()
 	f, path, err := s.FS.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, "", err
