@@ -172,9 +172,7 @@ func TestJournalCorruptHeaderQuarantined(t *testing.T) {
 // TestJournalOldVersionQuarantined: a journal of an earlier layout is
 // quarantined on resume and the run starts a fresh journal, rather than
 // failing or misparsing records under the current layout. Version 1
-// records had no per-cell seconds; version 2 records carried them, and
-// v2 is the only layout whose journals can hold the "\x00breaker" note
-// records older builds wrote for store circuit-breaker transitions.
+// records had no per-cell seconds; version 2 records carried them.
 func TestJournalOldVersionQuarantined(t *testing.T) {
 	for _, v := range []uint16{1, 2} {
 		// Rewrite a healthy header as version v and fix its checksum so
@@ -184,9 +182,6 @@ func TestJournalOldVersionQuarantined(t *testing.T) {
 		binary.LittleEndian.PutUint16(data[4:], v)
 		binary.LittleEndian.PutUint32(data[12+fpLen:], crc32.Checksum(data[:12+fpLen], castagnoli))
 		data = appendOldRecord(data, v, "fig2", "go_like", "row")
-		if v == 2 {
-			data = appendOldRecord(data, v, "\x00breaker", "closed->open", "")
-		}
 		path := journalFile(t)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -206,6 +201,62 @@ func TestJournalOldVersionQuarantined(t *testing.T) {
 			t.Fatalf("v%d journal not quarantined: %v", v, serr)
 		}
 		r.Close()
+	}
+}
+
+// TestJournalSkipsLegacyNoteRecords: older builds journaled store
+// circuit-breaker transitions as annotation records whose experiment
+// field is "\x00breaker". Only version 2 journals can hold them, so such
+// a journal is quarantined by its version: resume still succeeds, neither
+// its cells nor its notes surface, and the fresh journal that replaces it
+// records and resumes normally.
+func TestJournalSkipsLegacyNoteRecords(t *testing.T) {
+	data := journalHeader(testFP)
+	fpLen := len(testFP)
+	binary.LittleEndian.PutUint16(data[4:], 2)
+	binary.LittleEndian.PutUint32(data[12+fpLen:], crc32.Checksum(data[:12+fpLen], castagnoli))
+	data = appendOldRecord(data, 2, "fig2", "go_like", "row-go")
+	data = appendOldRecord(data, 2, "\x00breaker", "closed->open", "")
+	data = appendOldRecord(data, 2, "\x00breaker", "open->half-open", "")
+	path := journalFile(t)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := ResumeJournal(OS{}, path, testFP)
+	if err != nil {
+		t.Fatalf("ResumeJournal: %v", err)
+	}
+	if r.Resumed() != 0 {
+		t.Fatalf("Resumed() = %d, want 0 (the legacy journal is quarantined)", r.Resumed())
+	}
+	if _, ok := r.Lookup("\x00breaker", "closed->open"); ok {
+		t.Fatal("a legacy note surfaced as a journaled cell")
+	}
+	if _, ok := r.Lookup("fig2", "go_like"); ok {
+		t.Fatal("a legacy journal's cell surfaced after resume")
+	}
+	if _, serr := os.Stat(path + ".quarantined"); serr != nil {
+		t.Fatalf("legacy journal not quarantined: %v", serr)
+	}
+	if err := r.Record("fig5", "go_like", []byte("late")); err != nil {
+		t.Fatalf("Record after resume: %v", err)
+	}
+	r.Close()
+
+	r2, err := ResumeJournal(OS{}, path, testFP)
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	defer r2.Close()
+	if r2.Resumed() != 1 {
+		t.Fatalf("after append, Resumed() = %d, want 1", r2.Resumed())
+	}
+	if row, ok := r2.Lookup("fig5", "go_like"); !ok || string(row) != "late" {
+		t.Fatalf("Lookup(fig5, go_like) = %q, %v", row, ok)
+	}
+	if _, ok := r2.Lookup("\x00breaker", "closed->open"); ok {
+		t.Fatal("a legacy note surfaced after the second resume")
 	}
 }
 
