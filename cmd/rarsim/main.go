@@ -57,6 +57,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -263,7 +264,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var failed []string
-	breport := newBenchReport(*parallel)
+	breport := newBenchReport(*parallel, *size)
 	breport.store = artifacts
 
 	// Under -check, the scheduler's rendered output is captured so a
@@ -361,9 +362,11 @@ func renderSequential(opt experiments.Options, todo []experiments.Experiment) (s
 
 // shadowCompare is the scheduler-vs-sequential differential oracle: it
 // re-runs the sweep through renderSequential and compares the result
-// byte for byte with the scheduler's stdout. The functional experiments
-// replay from the already-warm trace cache, so the shadow pass mostly
-// re-prices the timing studies. It runs only after a clean scheduler
+// byte for byte with the scheduler's stdout. The scheduler dropped each
+// memory stream once its pass was done, so the functional experiments
+// re-record their streams (or read them from the -store tier), and the
+// timing studies replay their still-cached instruction streams. It runs
+// only after a clean scheduler
 // sweep — with failures the outputs legitimately differ by failure
 // ordering.
 func shadowCompare(opt experiments.Options, todo []experiments.Experiment, got string) string {
@@ -397,8 +400,9 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, got s
 // supervision section and the store's circuit-breaker stats; version 7
 // dropped both again along with the mechanisms they described; version
 // 8 added each experiment's busy_seconds; version 9 dropped the store's
-// retries count with the retry it counted.
-const benchSchemaVersion = 9
+// retries count with the retry it counted; version 10 added the machine
+// fingerprint and the trace_cache streams ledger.
+const benchSchemaVersion = 10
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.
@@ -409,7 +413,9 @@ type benchReport struct {
 	Timestamp string `json:"timestamp"`
 	// Parallelism is the worker count the run actually used (the -p
 	// flag resolved against GOMAXPROCS).
-	Parallelism int             `json:"parallelism"`
+	Parallelism int `json:"parallelism"`
+	// Machine is the host and build the run was measured on.
+	Machine     benchMachine    `json:"machine"`
 	Experiments []benchExp      `json:"experiments"`
 	Scheduler   *benchScheduler `json:"scheduler,omitempty"`
 	TraceCache  benchCache      `json:"trace_cache"`
@@ -487,17 +493,78 @@ type benchCache struct {
 	TraceRawBytes      int64   `json:"trace_raw_bytes"`
 	TraceResidentBytes int64   `json:"trace_resident_bytes"`
 	CompressionRatio   float64 `json:"compression_ratio"`
+	// Streams lists every stream the run completed, resident at exit
+	// or not: a suite drops each memory stream once its pass is done.
+	Streams []benchStream `json:"streams"`
 }
 
-func newBenchReport(parallelism int) *benchReport {
+type benchStream struct {
+	Workload      string `json:"workload"`
+	Size          int    `json:"size"`
+	Timing        bool   `json:"timing,omitempty"`
+	RawBytes      int64  `json:"raw_bytes"`
+	ResidentBytes int64  `json:"resident_bytes"`
+}
+
+// benchMachine fingerprints the host and build, with the field names
+// perfbench/run.py uses for the same facts.
+type benchMachine struct {
+	CPUModel   string `json:"cpu_model"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	// Commit is the VCS revision stamped into the binary; empty when
+	// the build carries none (go run, or a tree outside git).
+	Commit string `json:"commit"`
+	// Size is the -size flag; 0 means each experiment's default.
+	Size int `json:"size"`
+}
+
+func newBenchReport(parallelism, size int) *benchReport {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	return &benchReport{
 		SchemaVersion: benchSchemaVersion,
 		Parallelism:   parallelism,
-		Experiments:   []benchExp{},
+		Machine: benchMachine{
+			CPUModel:   cpuModel(),
+			NProc:      runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion:  runtime.Version(),
+			Commit:     vcsRevision(),
+			Size:       size,
+		},
+		Experiments: []benchExp{},
 	}
+}
+
+// cpuModel is the first "model name" of /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			if _, v, ok := strings.Cut(name, ":"); ok {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return "unknown"
+}
+
+// vcsRevision is the binary's stamped vcs.revision, or "".
+func vcsRevision() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				return s.Value
+			}
+		}
+	}
+	return ""
 }
 
 func (b *benchReport) add(item experiments.SuiteItem) {
@@ -532,6 +599,13 @@ func (b *benchReport) write(path string) error {
 		TraceRawBytes:      st.RawBytes,
 		TraceResidentBytes: st.Bytes,
 		CompressionRatio:   compressionRatio(st.RawBytes, st.Bytes),
+		Streams:            []benchStream{},
+	}
+	for _, r := range experiments.TraceCache().Ledger() {
+		b.TraceCache.Streams = append(b.TraceCache.Streams, benchStream{
+			Workload: r.Key.Workload, Size: r.Key.Size, Timing: r.Key.Timing,
+			RawBytes: r.RawBytes, ResidentBytes: r.Bytes,
+		})
 	}
 	if b.store != nil {
 		ss := b.store.Stats()
@@ -568,11 +642,11 @@ func finish(stderr io.Writer, traceStats bool, memprofile string, artifacts *sto
 	if traceStats {
 		st := experiments.TraceCache().Stats()
 		fmt.Fprintf(stderr,
-			"trace cache: %d hits, %d misses, %d evictions, %d streams resident (%.1f of %.0f MiB, %.1f MiB raw, %.2fx)\n",
+			"trace cache: %d hits, %d misses, %d evictions, %d streams resident (%.1f of %.0f MiB, %.1f MiB raw, %.2fx); streams used:\n",
 			st.Hits, st.Misses, st.Evictions, st.Entries,
 			float64(st.Bytes)/(1<<20), float64(st.Budget)/(1<<20),
 			float64(st.RawBytes)/(1<<20), compressionRatio(st.RawBytes, st.Bytes))
-		for _, r := range experiments.TraceCache().Residents() {
+		for _, r := range experiments.TraceCache().Ledger() {
 			kind := "mem"
 			if r.Key.Timing {
 				kind = "inst"

@@ -94,10 +94,11 @@ func TestSchedulerIsolatesPanickingCells(t *testing.T) {
 }
 
 // TestBenchJSONWritten: -benchjson emits the machine-readable suite
-// report with per-experiment cells and scheduler utilization. Schema v9
+// report with per-experiment cells and scheduler utilization. Schema v10
 // carries each experiment's busy_seconds, the sum of its cells'
-// seconds, and no supervision section, store breaker stats or store
-// retries count, even with -store armed.
+// seconds, a machine fingerprint and the streams the run used, and no
+// supervision section, store breaker stats or store retries count, even
+// with -store armed.
 func TestBenchJSONWritten(t *testing.T) {
 	path := t.TempDir() + "/suite.json"
 	code, _, errw := runCLI("-exp", "table51,fig2", "-size", "3",
@@ -117,8 +118,34 @@ func TestBenchJSONWritten(t *testing.T) {
 	}
 
 	m := readBench(t, path)
-	if v := m["schema_version"].(float64); v != 9 {
-		t.Errorf("schema_version = %v, want 9", v)
+	if v := m["schema_version"].(float64); v != 10 {
+		t.Errorf("schema_version = %v, want 10", v)
+	}
+	mach, ok := m["machine"].(map[string]any)
+	if !ok {
+		t.Fatalf("bench report has no machine section:\n%s", data)
+	}
+	for _, k := range []string{"cpu_model", "nproc", "gomaxprocs", "go_version", "commit", "size"} {
+		if _, ok := mach[k]; !ok {
+			t.Errorf("machine section lacks %s:\n%s", k, data)
+		}
+	}
+	if v := mach["size"].(float64); v != 3 {
+		t.Errorf("machine size = %v, want 3", v)
+	}
+	if v := mach["nproc"].(float64); v < 1 {
+		t.Errorf("machine nproc = %v, want at least 1", v)
+	}
+	streams, _ := m["trace_cache"].(map[string]any)["streams"].([]any)
+	for _, w := range []string{wname(t, "go"), wname(t, "gcc")} {
+		found := false
+		for _, raw := range streams {
+			s := raw.(map[string]any)
+			found = found || (s["workload"] == w && s["size"].(float64) == 3 && s["raw_bytes"].(float64) > 0)
+		}
+		if !found {
+			t.Errorf("trace_cache streams lack %s at size 3:\n%s", w, data)
+		}
 	}
 	for _, raw := range m["experiments"].([]any) {
 		e := raw.(map[string]any)
@@ -151,7 +178,7 @@ func TestBenchJSONWritten(t *testing.T) {
 
 // TestBenchJSONOmitsSupervisionWhenUnarmed: a plain run without -store
 // emits neither a supervise section nor store breaker stats, matching
-// the v9 schema.
+// the v10 schema.
 func TestBenchJSONOmitsSupervisionWhenUnarmed(t *testing.T) {
 	path := t.TempDir() + "/suite.json"
 	code, _, errw := runCLI("-exp", "fig2", "-size", "14", "-bench", "go,gcc",

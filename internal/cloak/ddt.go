@@ -3,6 +3,7 @@ package cloak
 import (
 	"rarpred/internal/check"
 	"rarpred/internal/container"
+	"rarpred/internal/metrics"
 )
 
 // DepKind classifies a detected memory dependence.
@@ -101,7 +102,28 @@ var _ Detector = (*DDT)(nil)
 // Under the package self-check gate (SetSelfCheck) the table cross-checks
 // itself against a reference model on sampled windows.
 func NewDDT(capacity int, recordLoads bool) *DDT {
+	detectorsBuilt.With(DetectorConfig{Capacity: capacity, RecordLoads: recordLoads}.String()).Inc()
 	return newDDTChecked(capacity, recordLoads, SelfCheckEnabled())
+}
+
+// NewDetector returns the detector dc describes: a DDT, or a SplitDDT
+// with dc.Capacity entries per half. Self-checking follows the package
+// gate, as for NewDDT.
+func NewDetector(dc DetectorConfig) Detector {
+	return newDetector(dc, SelfCheckEnabled())
+}
+
+// detectorsBuilt counts the detectors built through the public
+// constructors and engines, per DetectorConfig: the replay pass's
+// promise of one detector per distinct configuration shows here.
+var detectorsBuilt = metrics.Default().CounterVec("cloak.detectors_built")
+
+func newDetector(dc DetectorConfig, sc bool) Detector {
+	detectorsBuilt.With(dc.String()).Inc()
+	if dc.Split {
+		return newSplitDDTChecked(dc.Capacity, dc.Capacity, sc)
+	}
+	return newDDTChecked(dc.Capacity, dc.RecordLoads, sc)
 }
 
 func newDDTChecked(capacity int, recordLoads bool, sc bool) *DDT {
@@ -319,6 +341,7 @@ var _ Detector = (*SplitDDT)(nil)
 // NewSplitDDT returns a split detector with the given per-half
 // capacities (0 = unbounded).
 func NewSplitDDT(storeCapacity, loadCapacity int) *SplitDDT {
+	detectorsBuilt.With(DetectorConfig{Capacity: storeCapacity, Split: true, RecordLoads: true}.String()).Inc()
 	return newSplitDDTChecked(storeCapacity, loadCapacity, SelfCheckEnabled())
 }
 

@@ -1,6 +1,10 @@
 package cloak
 
-import "rarpred/internal/check"
+import (
+	"strconv"
+
+	"rarpred/internal/check"
+)
 
 // Mode selects which dependence kinds the mechanism exploits.
 type Mode uint8
@@ -47,6 +51,41 @@ type Config struct {
 	// sweeps for this engine even when the package-wide SetSelfCheck
 	// gate is off. Checks only read state, so results are unchanged.
 	SelfCheck bool
+}
+
+// DetectorConfig is the detector half of a Config: the fields that
+// decide which dependence each load sees. Engines whose configurations
+// map to one DetectorConfig see identical detections.
+type DetectorConfig struct {
+	Capacity    int  // entries per table; 0 is unbounded
+	Split       bool // separate store and load tables (SplitDDT)
+	RecordLoads bool // RAR detection; always on for a split detector
+}
+
+// DetectorConfig returns cfg's detector half.
+func (cfg Config) DetectorConfig() DetectorConfig {
+	return DetectorConfig{
+		Capacity:    cfg.DDTCapacity,
+		Split:       cfg.SplitDDT,
+		RecordLoads: cfg.SplitDDT || cfg.Mode == ModeRAWRAR,
+	}
+}
+
+// String names the detector the way the paper sizes it, e.g.
+// "DDT(128, RAR on)" or "SplitDDT(128)"; capacity 0 reads "inf".
+func (dc DetectorConfig) String() string {
+	size := "inf"
+	if dc.Capacity > 0 {
+		size = strconv.Itoa(dc.Capacity)
+	}
+	if dc.Split {
+		return "SplitDDT(" + size + ")"
+	}
+	rar := "off"
+	if dc.RecordLoads {
+		rar = "on"
+	}
+	return "DDT(" + size + ", RAR " + rar + ")"
 }
 
 // DefaultConfig is the accuracy-study configuration of Section 5.3: a
@@ -128,42 +167,36 @@ type LoadOutcome struct {
 	Kind DepKind
 }
 
+// Detection is one load's detector output: the kind of the dependence
+// visible in the DDT (DepNone if none) and the PC of its source. It is
+// all the prediction stage needs from detection, and it depends only on
+// the committed address stream, so one detector's detections can feed
+// every predictor that shares its DetectorConfig.
+type Detection struct {
+	Kind     DepKind
+	SourcePC uint32
+}
+
 // Engine is the functional cloaking/bypassing accuracy model: it consumes
 // the committed load/store stream in program order and tracks coverage
-// and misspeculation exactly as Sections 5.2–5.5 measure them. The
-// timing simulator uses the same DDT/DPNT/SynonymFile primitives but
-// drives them from pipeline stages instead.
+// and misspeculation exactly as Sections 5.2–5.5 measure them. It is a
+// detector stage (the DDT, or the split DDT) feeding a prediction stage
+// (the DPNT, the synonym file and the Stats). The timing simulator uses
+// the same DDT/DPNT/SynonymFile primitives but drives them from
+// pipeline stages instead.
 type Engine struct {
 	cfg      Config
 	detector Detector
-	dpnt     *DPNT
-	sf       *SynonymFile
-
-	stats Stats
-
-	sc     bool
-	scSamp check.Sampler
+	// p is held by value so the per-load path reaches the prediction
+	// tables with no pointer hop beyond the engine's own.
+	p Predictor
 }
 
 // New returns an engine for the configuration.
 func New(cfg Config) *Engine {
 	sc := cfg.SelfCheck || SelfCheckEnabled()
-	var det Detector
-	if cfg.SplitDDT {
-		det = newSplitDDTChecked(cfg.DDTCapacity, cfg.DDTCapacity, sc)
-	} else {
-		det = newDDTChecked(cfg.DDTCapacity, cfg.Mode == ModeRAWRAR, sc)
-	}
-	e := &Engine{
-		cfg:      cfg,
-		detector: det,
-		dpnt:     NewDPNT(cfg.DPNTSets, cfg.DPNTWays, cfg.Confidence, cfg.Merge),
-		sf:       NewSynonymFile(cfg.SFSets, cfg.SFWays),
-	}
-	if sc {
-		e.sc = true
-		e.scSamp = check.NewSampler(engineSweepInterval)
-	}
+	e := &Engine{cfg: cfg, detector: newDetector(cfg.DetectorConfig(), sc)}
+	e.p.init(cfg, sc)
 	return e
 }
 
@@ -171,17 +204,17 @@ func New(cfg Config) *Engine {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Stats returns a snapshot of the accumulated statistics.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats { return e.p.stats }
 
 // DPNT exposes the prediction table (for tests and the timing model).
-func (e *Engine) DPNT() *DPNT { return e.dpnt }
+func (e *Engine) DPNT() *DPNT { return e.p.dpnt }
 
 // SF exposes the synonym file (for tests and the timing model).
-func (e *Engine) SF() *SynonymFile { return e.sf }
+func (e *Engine) SF() *SynonymFile { return e.p.sf }
 
 // Store processes one committed store in program order.
 func (e *Engine) Store(pc, addr, value uint32) {
-	pred, havePred := e.dpnt.Lookup(pc)
+	pred, havePred := e.p.dpnt.Lookup(pc)
 	e.StoreWith(pc, addr, value, pred, havePred)
 }
 
@@ -191,12 +224,7 @@ func (e *Engine) Store(pc, addr, value uint32) {
 // second probe (the prediction must come from DPNT().Lookup(pc) with no
 // intervening engine mutation).
 func (e *Engine) StoreWith(pc, addr, value uint32, pred Prediction, havePred bool) {
-	e.stats.Stores++
-	// Predict: a store marked as a producer deposits its value in the
-	// synonym file so predicted consumers can name it.
-	if havePred && pred.Producer {
-		e.sf.Write(pred.Synonym, value, DepRAW, pc)
-	}
+	e.p.storeWith(pc, value, pred, havePred)
 	// Detect (at commit): record the store; this also breaks RAR chains
 	// through addr.
 	e.detector.Store(addr, pc)
@@ -207,56 +235,121 @@ func (e *Engine) StoreWith(pc, addr, value uint32, pred Prediction, havePred boo
 func (e *Engine) Load(pc, addr, value uint32) LoadOutcome {
 	// Predict: the DPNT is consulted with the state established by
 	// *earlier* instances (Figure 4(b) actions 5–8).
-	pred, havePred := e.dpnt.Lookup(pc)
+	pred, havePred := e.p.dpnt.Lookup(pc)
 	return e.LoadWith(pc, addr, value, pred, havePred)
 }
 
 // LoadWith is Load with the DPNT prediction supplied by the caller (same
-// contract as StoreWith).
+// contract as StoreWith). Detection runs first: its result depends only
+// on the committed address stream, never on the prediction, so this is
+// the order-independent composition of the two stages.
 func (e *Engine) LoadWith(pc, addr, value uint32, pred Prediction, havePred bool) LoadOutcome {
-	e.stats.Loads++
-	var out LoadOutcome
+	dep, _ := e.detector.Load(addr, pc)
+	return e.p.loadWith(pc, value, pred, havePred, Detection{Kind: dep.Kind, SourcePC: dep.SourcePC})
+}
+
+// Predictor is the prediction stage of the mechanism: the DPNT, the
+// synonym file and the Stats, trained by detections that a Detector
+// computed. An Engine drives one from its own detector; a replay pass
+// computes each distinct DetectorConfig's detections once and feeds
+// them to every Predictor configured with it.
+type Predictor struct {
+	dpnt  *DPNT
+	sf    *SynonymFile
+	stats Stats
+
+	sc     bool
+	scSamp check.Sampler
+}
+
+// NewPredictor returns the prediction stage of cfg; the detector fields
+// (DDTCapacity, SplitDDT and the recording half of Mode) are the
+// caller's to honour when it computes the detections.
+func NewPredictor(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.init(cfg, cfg.SelfCheck || SelfCheckEnabled())
+	return p
+}
+
+func (p *Predictor) init(cfg Config, sc bool) {
+	p.dpnt = NewDPNT(cfg.DPNTSets, cfg.DPNTWays, cfg.Confidence, cfg.Merge)
+	p.sf = NewSynonymFile(cfg.SFSets, cfg.SFWays)
+	if sc {
+		p.sc = true
+		p.scSamp = check.NewSampler(engineSweepInterval)
+	}
+}
+
+// Stats returns a snapshot of the accumulated statistics.
+func (p *Predictor) Stats() Stats { return p.stats }
+
+// Store processes one committed store in program order (its detector
+// must see the same store).
+func (p *Predictor) Store(pc, value uint32) {
+	pred, havePred := p.dpnt.Lookup(pc)
+	p.storeWith(pc, value, pred, havePred)
+}
+
+// Load processes one committed load in program order, given the
+// detection its detector reported for this very load, and reports what
+// the mechanism did for it.
+func (p *Predictor) Load(pc, value uint32, d Detection) LoadOutcome {
+	pred, havePred := p.dpnt.Lookup(pc)
+	return p.loadWith(pc, value, pred, havePred, d)
+}
+
+func (p *Predictor) storeWith(pc, value uint32, pred Prediction, havePred bool) {
+	p.stats.Stores++
+	// Predict: a store marked as a producer deposits its value in the
+	// synonym file so predicted consumers can name it.
+	if havePred && pred.Producer {
+		p.sf.Write(pred.Synonym, value, DepRAW, pc)
+	}
+}
+
+func (p *Predictor) loadWith(pc, value uint32, pred Prediction, havePred bool, d Detection) LoadOutcome {
+	p.stats.Loads++
+	out := LoadOutcome{Dep: d.Kind}
 	if havePred && (pred.Consumer || pred.ConsumerShadow) {
-		if entry, ok := e.sf.Read(pred.Synonym); ok && entry.Full {
+		if entry, ok := p.sf.Read(pred.Synonym); ok && entry.Full {
 			correct := entry.Value == value
 			if pred.Consumer {
 				out.Used = true
 				out.Correct = correct
 				out.Kind = entry.Kind
 				if entry.Kind == DepRAR {
-					e.stats.UsedRAR++
+					p.stats.UsedRAR++
 					if correct {
-						e.stats.CorrectRAR++
+						p.stats.CorrectRAR++
 					} else {
-						e.stats.WrongRAR++
+						p.stats.WrongRAR++
 					}
 				} else {
-					e.stats.UsedRAW++
+					p.stats.UsedRAW++
 					if correct {
-						e.stats.CorrectRAW++
+						p.stats.CorrectRAW++
 					} else {
-						e.stats.WrongRAW++
+						p.stats.WrongRAW++
 					}
 				}
 			} else {
-				e.stats.ShadowChecks++
+				p.stats.ShadowChecks++
 			}
-			e.dpnt.VerifyConsumer(pc, correct)
+			p.dpnt.VerifyConsumer(pc, correct)
 		} else {
-			e.stats.NoValue++
+			p.stats.NoValue++
 		}
 	}
 
-	// Detect (at commit): probe the DDT, train the DPNT.
-	if dep, ok := e.detector.Load(addr, pc); ok {
-		out.Dep = dep.Kind
-		switch dep.Kind {
-		case DepRAW:
-			e.stats.LoadsWithRAW++
-		case DepRAR:
-			e.stats.LoadsWithRAR++
+	// Train (at commit): a detected dependence trains the DPNT after the
+	// consumer verification above.
+	if d.Kind != DepNone {
+		if d.Kind == DepRAW {
+			p.stats.LoadsWithRAW++
+		} else {
+			p.stats.LoadsWithRAR++
 		}
-		e.dpnt.RecordDependence(dep)
+		p.dpnt.RecordDependence(Dependence{Kind: d.Kind, SourcePC: d.SourcePC, SinkPC: pc})
 	}
 
 	// Produce: a load marked as a RAR producer deposits the value it just
@@ -264,10 +357,10 @@ func (e *Engine) LoadWith(pc, addr, value uint32, pred Prediction, havePred bool
 	// consumer read above: a load can be the sink of one instance and the
 	// source for the next.
 	if havePred && pred.Producer {
-		e.sf.Write(pred.Synonym, value, DepRAR, pc)
+		p.sf.Write(pred.Synonym, value, DepRAR, pc)
 	}
-	if e.sc && e.scSamp.Tick() {
-		e.checkInvariants()
+	if p.sc && p.scSamp.Tick() {
+		p.checkInvariants()
 	}
 	return out
 }

@@ -295,17 +295,33 @@ func TestTimingConfigShapes(t *testing.T) {
 	}
 }
 
+// profiler feeds a 128-entry DDT's detections to a Collector, the way
+// ablprofile reads its replay pass's shared detector.
+type profiler struct {
+	d *DDT
+	c *Collector
+}
+
+func newProfiler() profiler { return profiler{d: NewDDT(128, true), c: NewCollector()} }
+
+func (p profiler) load(pc, addr uint32) {
+	dep, _ := p.d.Load(addr, pc)
+	p.c.Load(pc, Detection{Kind: dep.Kind, SourcePC: dep.SourcePC})
+}
+
+func (p profiler) store(pc, addr uint32) { p.d.Store(addr, pc) }
+
 func TestProfileCollector(t *testing.T) {
-	c := NewCollector(128)
+	c := newProfiler()
 	// LD1 A, LD2 A twice; ST B, LD3 B once.
 	for i := 0; i < 2; i++ {
 		addr := uint32(0x1000 + i*4)
-		c.Load(pc(1), addr)
-		c.Load(pc(2), addr)
+		c.load(pc(1), addr)
+		c.load(pc(2), addr)
 	}
-	c.Store(pc(3), 0x2000)
-	c.Load(pc(4), 0x2000)
-	p := c.Profile()
+	c.store(pc(3), 0x2000)
+	c.load(pc(4), 0x2000)
+	p := c.c.Profile()
 	if p.Len() != 2 {
 		t.Fatalf("profiled %d pairs", p.Len())
 	}
@@ -363,13 +379,13 @@ func TestStaticVsHardwareCoverage(t *testing.T) {
 		return e.Stats()
 	}
 	// Profile pass.
-	c := NewCollector(128)
+	c := newProfiler()
 	for i := 0; i < 50; i++ {
 		addr := uint32(0x1000 + i*4)
-		c.Load(pc(1), addr)
-		c.Load(pc(2), addr)
+		c.load(pc(1), addr)
+		c.load(pc(2), addr)
 	}
-	static := drive(NewStaticEngine(DefaultConfig(), c.Profile(), 1))
+	static := drive(NewStaticEngine(DefaultConfig(), c.c.Profile(), 1))
 	hardware := drive(New(DefaultConfig()))
 	if static.Covered() < hardware.Covered() {
 		t.Errorf("software-guided covered %d, hardware %d (static should win warmup)",

@@ -3,7 +3,9 @@ package cloak
 import "testing"
 
 // FuzzEngine drives full engines (bounded/unbounded/split/RAW-only) with
-// an arbitrary committed stream under always-on self-checking: every
+// an arbitrary committed stream under always-on self-checking, and in
+// lockstep a separate detector feeding a prediction stage, which must
+// report the same outcome for every load and the same Stats: every
 // detector result is compared against the naive reference model, the
 // LRU order is compared at window boundaries, and DPNT/SF invariants
 // sweep after every load. Any divergence panics with *check.Violation
@@ -38,17 +40,29 @@ func FuzzEngine(f *testing.F) {
 		for _, cfg := range cfgs {
 			e := New(cfg)
 			e.forceSelfCheckAlways()
+			det := NewDetector(cfg.DetectorConfig())
+			pr := NewPredictor(cfg)
+			pr.forceSelfCheckAlways()
 			for i := 0; i+2 < len(data); i += 3 {
 				pc := uint32(data[i]>>1&0x3f) << 2
 				addr := uint32(data[i+1] & 31)
 				val := uint32(data[i+2])
 				if data[i]&1 == 0 {
-					e.Load(pc, addr, val)
+					want := e.Load(pc, addr, val)
+					dep, _ := det.Load(addr, pc)
+					if got := pr.Load(pc, val, Detection{Kind: dep.Kind, SourcePC: dep.SourcePC}); got != want {
+						t.Fatalf("%+v op %d: predictor outcome %+v, engine %+v", cfg, i/3, got, want)
+					}
 				} else {
 					e.Store(pc, addr, val)
+					det.Store(addr, pc)
+					pr.Store(pc, val)
 				}
 			}
-			e.checkInvariants()
+			e.p.checkInvariants()
+			if got, want := pr.Stats(), e.Stats(); got != want {
+				t.Fatalf("%+v: predictor stats %+v, engine %+v", cfg, got, want)
+			}
 		}
 	})
 }

@@ -22,33 +22,23 @@ func NewProfile() *Profile {
 // Record adds one observed dependence instance.
 func (p *Profile) Record(dep Dependence) { p.pairs[dep]++ }
 
-// Collector wraps a detector so a profiling run can record every
-// dependence it sees. Drive it like an engine: one call per committed
-// access, in program order.
+// Collector records a profiling run's dependences. It owns no
+// detector: the caller hands it each load's detection, so a replay pass
+// can feed it the detections it shares with every engine of the same
+// DetectorConfig.
 type Collector struct {
-	profile  *Profile
-	detector Detector
+	profile *Profile
 }
 
-// NewCollector returns a collector using a DDT of the given capacity
-// (0 = unbounded) with load recording enabled.
-func NewCollector(ddtCapacity int) *Collector {
-	return &Collector{
-		profile:  NewProfile(),
-		detector: NewDDT(ddtCapacity, true),
+// NewCollector returns an empty collector.
+func NewCollector() *Collector { return &Collector{profile: NewProfile()} }
+
+// Load observes a committed load at pc and the detection its detector
+// reported for it.
+func (c *Collector) Load(pc uint32, d Detection) {
+	if d.Kind != DepNone {
+		c.profile.Record(Dependence{Kind: d.Kind, SourcePC: d.SourcePC, SinkPC: pc})
 	}
-}
-
-// Load observes a committed load.
-func (c *Collector) Load(pc, addr uint32) {
-	if dep, ok := c.detector.Load(addr, pc); ok {
-		c.profile.Record(dep)
-	}
-}
-
-// Store observes a committed store.
-func (c *Collector) Store(pc, addr uint32) {
-	c.detector.Store(addr, pc)
 }
 
 // Profile returns the collected profile.
@@ -91,13 +81,13 @@ func (p *Profile) Len() int { return len(p.pairs) }
 // never learn pairs the profile missed — the trade-off the paper's
 // related-work section points at.
 func NewStaticEngine(cfg Config, profile *Profile, minCount uint64) *Engine {
-	e := New(cfg)
+	// Runtime detection is disabled: the nil detector observes stores
+	// (for API symmetry) but never reports dependences.
+	e := &Engine{cfg: cfg, detector: noDetect{}}
+	e.p.init(cfg, cfg.SelfCheck || SelfCheckEnabled())
 	for _, dep := range profile.Pairs(minCount) {
-		e.dpnt.RecordDependence(dep)
+		e.p.dpnt.RecordDependence(dep)
 	}
-	// Disable runtime detection: the nil detector observes stores (for
-	// API symmetry) but never reports dependences.
-	e.detector = noDetect{}
 	return e
 }
 

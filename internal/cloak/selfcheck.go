@@ -417,12 +417,13 @@ func (f *SynonymFile) CheckInvariants() {
 	})
 }
 
-// checkInvariants is the engine's sampled sweep: table invariants plus
-// the stats accounting identities every committed load must preserve.
-func (e *Engine) checkInvariants() {
-	e.dpnt.CheckInvariants()
-	e.sf.CheckInvariants()
-	s := e.stats
+// checkInvariants is the prediction stage's sampled sweep: table
+// invariants plus the stats accounting identities every committed load
+// must preserve.
+func (p *Predictor) checkInvariants() {
+	p.dpnt.CheckInvariants()
+	p.sf.CheckInvariants()
+	s := p.stats
 	if s.UsedRAW != s.CorrectRAW+s.WrongRAW {
 		check.Failf("engine.stats", "UsedRAW %d != CorrectRAW %d + WrongRAW %d",
 			s.UsedRAW, s.CorrectRAW, s.WrongRAW)
@@ -444,14 +445,20 @@ func (e *Engine) checkInvariants() {
 // forceSelfCheckAlways pins the engine and its detector in always-on
 // checking; for tests and fuzzing.
 func (e *Engine) forceSelfCheckAlways() {
-	e.sc = true
-	e.scSamp = check.Sampler{} // zero sampler fires every tick
+	e.p.forceSelfCheckAlways()
 	switch det := e.detector.(type) {
 	case *DDT:
 		det.forceWindow()
 	case *SplitDDT:
 		det.forceWindow()
 	}
+}
+
+// forceSelfCheckAlways pins the prediction stage in always-on checking;
+// for tests and fuzzing.
+func (p *Predictor) forceSelfCheckAlways() {
+	p.sc = true
+	p.scSamp = check.Sampler{} // zero sampler fires every tick
 }
 
 // CheckInvariants sweeps the SRT: every live entry must be owned by an

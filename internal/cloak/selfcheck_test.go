@@ -163,8 +163,14 @@ func TestSetSelfCheckGatesConstruction(t *testing.T) {
 	if s := NewSplitDDT(8, 8); !s.sc {
 		t.Error("NewSplitDDT ignored the package gate")
 	}
-	if e := New(DefaultConfig()); !e.sc {
+	if e := New(DefaultConfig()); !e.p.sc {
 		t.Error("New ignored the package gate")
+	}
+	if p := NewPredictor(DefaultConfig()); !p.sc {
+		t.Error("NewPredictor ignored the package gate")
+	}
+	if d, ok := NewDetector(DefaultConfig().DetectorConfig()).(*DDT); !ok || !d.sc {
+		t.Error("NewDetector ignored the package gate")
 	}
 	SetSelfCheck(false)
 	if d := NewDDT(8, true); d.sc {

@@ -37,15 +37,13 @@ type WindowResult struct {
 	Rows []WindowRow
 }
 
-// ablWindowCells runs one locality analyzer per window size, one
-// independent sink each.
+// ablWindowCells reads one locality analyzer per window size from the
+// pass's window stages (fig2 shares the infinite and 4K windows).
 var ablWindowCells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, m *member) func() (WindowRow, error) {
 		analyzers := make([]*locality.RARLocality, len(WindowSizes))
 		for i, ws := range WindowSizes {
-			a := locality.NewRARLocality(ws)
-			analyzers[i] = a
-			m.attach(addrSink(a.Load, a.Store))
+			analyzers[i] = m.rarLocality(ws)
 		}
 		loads := m.stream().Loads()
 		return func() (WindowRow, error) {

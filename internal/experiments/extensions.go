@@ -179,18 +179,22 @@ type SynergyResult struct {
 	CloakMean, VPMean, HybridMean float64
 }
 
-// synergyCells stays one combined sink with a private engine: the
-// cloaking engine and value predictor classify each load together.
+// synergyCells classifies each load by the cloaking outcome of the
+// pass's shared table52Config engine and its own value predictor.
 var synergyCells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, m *member) func() (SynergyRow, error) {
-		engine := cloak.New(table52Config())
+		outs := m.outcomes(table52Config())
 		vp := vpred.NewLastValue(vpred.DefaultEntries)
 		var loads, cCloak, cVP, cHybrid uint64
-		m.attach(trace.SinkFuncs{
-			OnLoad: func(pc, addr, value uint32) {
+		m.visit(func(c trace.Chunk) {
+			col := outs()
+			for i, k := range c.Kinds {
+				if trace.Kind(k) != trace.KindLoad {
+					continue
+				}
 				loads++
-				out := engine.Load(pc, addr, value)
-				_, vpCorrect := vp.Access(pc, value)
+				out := col[i]
+				_, vpCorrect := vp.Access(c.PCs[i], c.Values[i])
 				cloakCorrect := out.Used && out.Correct
 				if cloakCorrect {
 					cCloak++
@@ -201,8 +205,7 @@ var synergyCells = tracedCells(workload.ReferenceSize,
 				if cloakCorrect || vpCorrect {
 					cHybrid++
 				}
-			},
-			OnStore: func(pc, addr, value uint32) { engine.Store(pc, addr, value) },
+			}
 		})
 		return func() (SynergyRow, error) {
 			return SynergyRow{
@@ -263,15 +266,24 @@ type ProfileResult struct {
 // profileMinCount drops one-off pairs, as a compiler would.
 const profileMinCount = 4
 
-// ablProfileCells runs in two phases: phase 1 profiles on the pass
-// (and reads hardware coverage from the shared default engine); phase
-// 2's software engine needs that profile, so the finish step replays
-// the stream itself.
+// ablProfileCells runs in two phases: phase 1 profiles the pass's
+// default detection column (and reads hardware coverage from the
+// shared default engine); phase 2's software engine needs that
+// profile, so the finish step replays the stream itself.
 var ablProfileCells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, m *member) func() (ProfileRow, error) {
-		collector := cloak.NewCollector(128)
-		m.attach(addrSink(collector.Load, collector.Store))
-		hw := m.engineStats(cloak.DefaultConfig())
+		cfg := cloak.DefaultConfig()
+		dets := m.detections(cfg.DetectorConfig())
+		collector := cloak.NewCollector()
+		m.visit(func(c trace.Chunk) {
+			col := dets()
+			for i, k := range c.Kinds {
+				if trace.Kind(k) == trace.KindLoad {
+					collector.Load(c.PCs[i], col[i])
+				}
+			}
+		})
+		hw := m.engineStats(cfg)
 		return func() (ProfileRow, error) {
 			// Phase 2: replay the same stream under the software-guided
 			// engine (the program is deterministic, so a second execution

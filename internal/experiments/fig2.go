@@ -38,13 +38,12 @@ type Fig2Result struct {
 	Rows []Fig2Row
 }
 
-// fig2Cells analyzes both address windows per workload, one
-// independent sink each.
+// fig2Cells reads both address windows' analyzers from the pass's
+// window stages, which ablwindow's sweep shares.
 var fig2Cells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, m *member) func() (Fig2Row, error) {
-		inf := locality.NewRARLocality(0)
-		win := locality.NewRARLocality(Fig2Window)
-		m.attach(addrSink(inf.Load, inf.Store), addrSink(win.Load, win.Store))
+		inf := m.rarLocality(0)
+		win := m.rarLocality(Fig2Window)
 		return func() (Fig2Row, error) {
 			row := Fig2Row{Workload: w, SinkInf: inf.SinkLoads(), SinkWin: win.SinkLoads()}
 			for n := 1; n <= locality.MaxDepth; n++ {

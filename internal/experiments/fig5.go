@@ -41,29 +41,33 @@ type Fig5Result struct {
 	Rows []Fig5Row
 }
 
-// fig5Cells runs one combined-DDT detector per size, one independent
-// sink each.
+// fig5Cells reads one detection column per size from the pass's
+// detector stages; the 128-entry one is the column the default engine
+// and every other reader of that detector share.
 var fig5Cells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, m *member) func() (Fig5Row, error) {
 		raw := make([]uint64, len(Fig5Sizes))
 		rar := make([]uint64, len(Fig5Sizes))
-		sinks := make([]trace.Sink, len(Fig5Sizes))
+		cols := make([]func() []cloak.Detection, len(Fig5Sizes))
 		for i, s := range Fig5Sizes {
-			i, d := i, cloak.NewDDT(s, true)
-			sinks[i] = trace.SinkFuncs{
-				OnLoad: func(pc, addr, _ uint32) {
-					if dep, ok := d.Load(addr, pc); ok {
-						if dep.Kind == cloak.DepRAW {
-							raw[i]++
-						} else {
-							rar[i]++
-						}
-					}
-				},
-				OnStore: func(pc, addr, _ uint32) { d.Store(addr, pc) },
-			}
+			cols[i] = m.detections(cloak.DetectorConfig{Capacity: s, RecordLoads: true})
 		}
-		m.attach(sinks...)
+		m.visit(func(c trace.Chunk) {
+			for i, col := range cols {
+				col := col()
+				for j, k := range c.Kinds {
+					if trace.Kind(k) != trace.KindLoad {
+						continue
+					}
+					switch col[j].Kind {
+					case cloak.DepRAW:
+						raw[i]++
+					case cloak.DepRAR:
+						rar[i]++
+					}
+				}
+			}
+		})
 		loads := m.stream().Loads()
 		return func() (Fig5Row, error) {
 			row := Fig5Row{Workload: w}

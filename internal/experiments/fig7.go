@@ -57,26 +57,30 @@ type Fig7Result struct {
 	Rows  []Fig7Row
 }
 
-// fig7Cells stays one combined sink with a private engine: the locality
-// observation and the cloaking outcome correlate per event, so they must
-// see the stream in lockstep.
+// fig7Cells correlates each load's locality observation with its
+// detection, read from the pass's default detection column in lockstep
+// with the events; coverage comes from the shared default engine.
 func fig7Cells(value bool) CellRunner {
 	return tracedCells(workload.ReferenceSize,
 		func(_ Options, w workload.Workload, m *member) func() (Fig7Row, error) {
-			engine := cloak.New(cloak.DefaultConfig())
+			cfg := cloak.DefaultConfig()
+			dets := m.detections(cfg.DetectorConfig())
+			engine := m.engineStats(cfg)
 			last := locality.NewLastMap()
 			var loads, localRAW, localRAR, localNone uint64
-			m.attach(trace.SinkFuncs{
-				OnLoad: func(pc, addr, val uint32) {
-					loads++
-					word := addr
-					if value {
-						word = val
+			m.visit(func(c trace.Chunk) {
+				col := dets()
+				for i, k := range c.Kinds {
+					if trace.Kind(k) != trace.KindLoad {
+						continue
 					}
-					repeats := last.Observe(pc, word)
-					out := engine.Load(pc, addr, val)
-					if repeats {
-						switch out.Dep {
+					loads++
+					word := c.Addrs[i]
+					if value {
+						word = c.Values[i]
+					}
+					if last.Observe(c.PCs[i], word) {
+						switch col[i].Kind {
 						case cloak.DepRAW:
 							localRAW++
 						case cloak.DepRAR:
@@ -85,11 +89,10 @@ func fig7Cells(value bool) CellRunner {
 							localNone++
 						}
 					}
-				},
-				OnStore: func(pc, addr, val uint32) { engine.Store(pc, addr, val) },
+				}
 			})
 			return func() (Fig7Row, error) {
-				st := engine.Stats()
+				st := engine()
 				return Fig7Row{
 					Workload:    w,
 					LocalRAW:    stats.Ratio(localRAW, loads),

@@ -32,6 +32,13 @@ type eventRow struct {
 // ("attach", "sink" — once, on the first event — or "finish") and may
 // panic or stall there; joined counts attach calls.
 func passExperiment(id string, joined *atomic.Int64, hook func(phase string, w workload.Workload)) Experiment {
+	return passExperimentJoin(id, joined, hook, nil)
+}
+
+// passExperimentJoin is passExperiment with a join step that runs at
+// attach with the member, to read or rig the pass's shared stages.
+func passExperimentJoin(id string, joined *atomic.Int64, hook func(phase string, w workload.Workload),
+	join func(m *member, w workload.Workload)) Experiment {
 	if hook == nil {
 		hook = func(string, workload.Workload) {}
 	}
@@ -44,6 +51,9 @@ func passExperiment(id string, joined *atomic.Int64, hook func(phase string, w w
 					joined.Add(1)
 				}
 				hook("attach", w)
+				if join != nil {
+					join(m, w)
+				}
 				n := 0
 				on := func(_, _, _ uint32) {
 					if n == 0 {
@@ -135,6 +145,139 @@ func TestPassMemberPanicIsolated(t *testing.T) {
 			}
 		})
 	}
+
+	// A shared detector that panics fails exactly its readers: the
+	// member reading its column directly and fig6, whose two engines
+	// predict from it. table51 and fig2 (windows of other sizes) render
+	// byte-identically, and so does fig6's healthy row.
+	t.Run("detector", func(t *testing.T) {
+		dc := cloak.DefaultConfig().DetectorConfig()
+		bomb := passExperimentJoin("synthP", nil, nil, func(m *member, w workload.Workload) {
+			m.detections(dc)
+			if w.Name == victim {
+				d := m.p.detector(dc)
+				d.det = explodingDetector{d.det}
+			}
+		})
+		exps := others()
+		exps = append(exps[:2:2], bomb, exps[2])
+		items := suiteItems(opt, exps)
+		if got, want := render(items[:2], ""), render(suiteItems(opt, others()[:2]), ""); got != want {
+			t.Errorf("non-readers diverge from a clean run:\n--- got ---\n%s--- clean ---\n%s", got, want)
+		}
+		cleanFig6 := render(suiteItems(opt, others()[2:]), "")
+		for _, res := range items[2:] {
+			p, ok := res.Result.(*PartialResult)
+			if !ok {
+				t.Fatalf("%s result is %T (err %v), want *PartialResult", res.Exp.ID, res.Result, res.Err)
+			}
+			if len(p.Fails) != 1 || p.Fails[0].Workload != victim || !errors.Is(p.Fails[0], runerr.ErrWorkloadPanic) {
+				t.Fatalf("%s failures = %v, want one ErrWorkloadPanic for %s", res.Exp.ID, p.Fails, victim)
+			}
+			if res.Exp.ID != "fig6" {
+				continue
+			}
+			goAbbrev := mustAbbrev(t, "go")
+			rows := 0
+			for _, line := range strings.Split(p.String(), "\n") {
+				if strings.HasPrefix(line, goAbbrev+" ") {
+					rows++
+					if !strings.Contains(cleanFig6, line+"\n") {
+						t.Errorf("fig6 healthy row differs from a clean run: %q", line)
+					}
+				}
+			}
+			if rows == 0 {
+				t.Errorf("fig6 lost its healthy row:\n%s", p)
+			}
+		}
+	})
+}
+
+// explodingDetector is a shared detector that panics on its first load.
+type explodingDetector struct{ cloak.Detector }
+
+func (explodingDetector) Load(addr, pc uint32) (cloak.Dependence, bool) {
+	panic("shared detector exploded")
+}
+
+// mustAbbrev returns a workload's row label.
+func mustAbbrev(t *testing.T, abbrev string) string {
+	t.Helper()
+	w, ok := workload.ByAbbrev(abbrev)
+	if !ok {
+		t.Fatalf("unknown workload %s", abbrev)
+	}
+	return w.Abbrev
+}
+
+// TestPassDetectsOncePerConfig: gcc's full pass builds one detector per
+// distinct detector configuration — DDT(128, RAR on) once for every
+// engine, fig5's 128-entry point, ablprofile and fig7 — one RAR
+// locality analyzer per distinct window, with fig2 and ablwindow
+// sharing the infinite and 4K ones, and one cloak engine per distinct
+// configuration, table52 and synergy sharing theirs.
+func TestPassDetectsOncePerConfig(t *testing.T) {
+	opt := subset("gcc")
+	opt.Size = 2
+	w := opt.Workloads[0]
+	var ms []*member
+	for _, e := range All() {
+		if r, ok := e.Cells.(passRunner); ok {
+			ms = append(ms, &member{r: r})
+		}
+	}
+	if len(ms) != 14 {
+		t.Fatalf("%d stream experiments, want 14", len(ms))
+	}
+	if _, err := workloadStream(context.Background(), opt, w, opt.size(workload.ReferenceSize), opt.maxInsts()); err != nil {
+		t.Fatal(err)
+	}
+	built := func() map[string]uint64 {
+		out := make(map[string]uint64)
+		for k, v := range metrics.Default().Snapshot().Counters {
+			if label, ok := strings.CutPrefix(k, "cloak.detectors_built{"); ok {
+				out[strings.TrimSuffix(label, "}")] = v
+			}
+		}
+		return out
+	}
+	before := built()
+	runPass(context.Background(), opt, w, ms)
+	after := built()
+	for _, m := range ms {
+		if m.err != nil {
+			t.Fatal(m.err)
+		}
+	}
+	for dc, n := range after {
+		if d := n - before[dc]; d > 1 {
+			t.Errorf("the pass built %s %d times, want once", dc, d)
+		}
+	}
+	for _, dc := range []string{"DDT(128, RAR on)", "DDT(inf, RAR on)", "DDT(4096, RAR on)", "SplitDDT(128)"} {
+		if d := after[dc] - before[dc]; d != 1 {
+			t.Errorf("the pass built %s %d times, want once", dc, d)
+		}
+	}
+	p := ms[0].p
+	if got := len(p.detectors); got != 11 {
+		t.Errorf("%d detector stages, want 11: fig5's 7 sizes, ablwindow's 4K, 16K and infinite windows, and the split DDT", got)
+	}
+	for _, ws := range []int{0, Fig2Window} {
+		if a := p.windows[ws]; a == nil || len(a.users) != 2 {
+			t.Errorf("window %d is not one analyzer shared by fig2 and ablwindow", ws)
+		}
+	}
+	if got := len(p.windows); got != len(WindowSizes) {
+		t.Errorf("%d window analyzers, want %d", got, len(WindowSizes))
+	}
+	if got := len(p.engines); got != 9 {
+		t.Errorf("%d cloak engines fed by the walk, want 9", got)
+	}
+	if e := p.engines[table52Config()]; e == nil || len(e.users) != 2 || !e.record {
+		t.Error("table52 and synergy do not share one outcome-recording engine")
+	}
 }
 
 // TestSharedEngineMatchesPrivate: a shared engine's Stats equal those of
@@ -153,7 +296,7 @@ func TestSharedEngineMatchesPrivate(t *testing.T) {
 			shared = m.engineStats(cfg)
 			again = m.engineStats(cfg)
 			return func() (int, error) {
-				engines = len(m.p.order)
+				engines = len(m.p.engines)
 				return 0, nil
 			}
 		}, nil)}

@@ -105,7 +105,8 @@ func (j *suiteJob) cost() float64 {
 // deadline), identical to the standalone per-experiment pools. Each
 // job pins its stream's cache entry (trace.Cache.Retain) from
 // construction until it has run, so eviction cannot drop a stream that
-// queued jobs still need.
+// queued jobs still need; a pass job drops its memory stream from the
+// cache once it has run, since no other job of the suite reads it.
 //
 // A pass's members stay (experiment × workload) cells everywhere a cell
 // is visible: each gets its own row, error, journal entry and CellStat,
@@ -350,7 +351,8 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				// A cell job's outcome rides in a member too, so both
 				// kinds of job retire the same way.
 				ms := make([]*member, len(j.eis))
-				if _, isPass := states[j.eis[0]].exp.Cells.(passRunner); isPass {
+				_, isPass := states[j.eis[0]].exp.Cells.(passRunner)
+				if isPass {
 					for k, ei := range j.eis {
 						ms[k] = &member{r: states[ei].exp.Cells.(passRunner)}
 					}
@@ -366,6 +368,14 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				}
 				if j.pin {
 					traceCache.Release(j.key)
+					// A pass job is the only reader of its memory stream in
+					// this suite (the timing cells read the workload's
+					// instruction stream, a separate key), so the stream
+					// leaves memory with it; the cache's ledger still
+					// lists it for the run's reports.
+					if isPass {
+						traceCache.Drop(j.key)
+					}
 				}
 				suiteWorkersBusy.Add(-1)
 				for k, m := range ms {

@@ -60,19 +60,23 @@ func table52Config() cloak.Config {
 	}
 }
 
-// table52Cells stays one combined sink with a private engine: the
-// cloaking engine and the value predictor must observe each load
-// together to classify the overlap.
+// table52Cells classifies the overlap per load: the value predictor
+// sees each load together with the cloaking outcome the pass's shared
+// table52Config engine recorded for it (synergy reads the same column).
 var table52Cells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, m *member) func() (Table52Row, error) {
-		engine := cloak.New(table52Config())
+		outs := m.outcomes(table52Config())
 		vp := vpred.NewLastValue(vpred.DefaultEntries)
 		var loads, cloakOnlyRAW, cloakOnlyRAR, vpOnly uint64
-		m.attach(trace.SinkFuncs{
-			OnLoad: func(pc, addr, value uint32) {
+		m.visit(func(c trace.Chunk) {
+			col := outs()
+			for i, k := range c.Kinds {
+				if trace.Kind(k) != trace.KindLoad {
+					continue
+				}
 				loads++
-				out := engine.Load(pc, addr, value)
-				_, vpCorrect := vp.Access(pc, value)
+				out := col[i]
+				_, vpCorrect := vp.Access(c.PCs[i], c.Values[i])
 				cloakCorrect := out.Used && out.Correct
 				switch {
 				case cloakCorrect && !vpCorrect:
@@ -84,8 +88,7 @@ var table52Cells = tracedCells(workload.ReferenceSize,
 				case vpCorrect && !cloakCorrect:
 					vpOnly++
 				}
-			},
-			OnStore: func(pc, addr, value uint32) { engine.Store(pc, addr, value) },
+			}
 		})
 		return func() (Table52Row, error) {
 			return Table52Row{

@@ -41,10 +41,17 @@ type depHistory struct {
 // NewRARLocality returns an analyzer with the given address-window size
 // (0 = infinite).
 func NewRARLocality(windowSize int) *RARLocality {
-	return &RARLocality{
-		window:  cloak.NewDDT(windowSize, true),
-		history: container.NewU32Map[depHistory](0),
-	}
+	l := NewDetectedRARLocality()
+	l.window = cloak.NewDDT(windowSize, true)
+	return l
+}
+
+// NewDetectedRARLocality returns an analyzer with no window of its own:
+// it is fed through Observe with the detections of a DDT the caller
+// runs (a replay pass shares one per window size), and its Load and
+// Store must not be called.
+func NewDetectedRARLocality() *RARLocality {
+	return &RARLocality{history: container.NewU32Map[depHistory](0)}
 }
 
 // Store feeds one committed store.
@@ -52,15 +59,21 @@ func (l *RARLocality) Store(pc, addr uint32) { l.window.Store(addr, pc) }
 
 // Load feeds one committed load.
 func (l *RARLocality) Load(pc, addr uint32) {
-	dep, ok := l.window.Load(addr, pc)
-	if !ok || dep.Kind != cloak.DepRAR {
+	dep, _ := l.window.Load(addr, pc)
+	l.Observe(pc, cloak.Detection{Kind: dep.Kind, SourcePC: dep.SourcePC})
+}
+
+// Observe feeds one committed load at pc with the detection its window
+// reported for it.
+func (l *RARLocality) Observe(pc uint32, d cloak.Detection) {
+	if d.Kind != cloak.DepRAR {
 		return
 	}
 	l.total++
 	hist, _ := l.history.GetOrPut(pc)
 	rank := int32(-1)
 	for i := int32(0); i < hist.n; i++ {
-		if hist.pcs[i] == dep.SourcePC {
+		if hist.pcs[i] == d.SourcePC {
 			rank = i
 			break
 		}
@@ -81,7 +94,7 @@ func (l *RARLocality) Load(pc, addr uint32) {
 		}
 	}
 	copy(hist.pcs[1:top+1], hist.pcs[:top])
-	hist.pcs[0] = dep.SourcePC
+	hist.pcs[0] = d.SourcePC
 }
 
 // SinkLoads returns the number of dynamic sink loads observed.

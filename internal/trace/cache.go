@@ -55,6 +55,11 @@ type Cache struct {
 	entries map[Key]*cacheEntry
 	lru     *list.List // completed entries; front = most recently used
 
+	// ledger holds the sizes of every stream that completed in this
+	// cache, resident or not: a scheduler drops a stream once its last
+	// reader is done, and a report must still list what the run used.
+	ledger map[Key]Streamed
+
 	// pins counts pending consumers per key (Retain/Release). A pinned
 	// key's entry is exempt from LRU eviction: a scheduler that knows
 	// which cells still need a stream pins it up front so the cache
@@ -102,6 +107,7 @@ func NewCache(budget int64) *Cache {
 		budget:  budget,
 		entries: make(map[Key]*cacheEntry),
 		lru:     list.New(),
+		ledger:  make(map[Key]Streamed),
 		pins:    make(map[Key]int),
 	}
 }
@@ -257,6 +263,7 @@ func (c *Cache) getContext(ctx context.Context, key Key, record func() (Cached, 
 				e.elem = c.lru.PushFront(e)
 				c.bytes.Add(e.val.Bytes())
 				c.rawBytes.Add(rawBytesOf(e.val))
+				c.ledger[key] = Streamed{Key: key, Bytes: e.val.Bytes(), RawBytes: rawBytesOf(e.val)}
 				c.evictLocked()
 			}
 		}
@@ -421,27 +428,25 @@ func (c *Cache) checkNoUnderflowLocked(op string, key Key) {
 		"%s %+v drove raw bytes negative (%d)", op, key, c.rawBytes.Value())
 }
 
-// Resident describes one completed cache entry for reporting (the
-// -tracestats listing): its key, resident (compressed) bytes, and
+// Streamed describes one stream the cache completed, for reporting
+// (the -tracestats listing): its key, resident (compressed) bytes, and
 // uncompressed payload bytes.
-type Resident struct {
+type Streamed struct {
 	Key      Key
 	Bytes    int64
 	RawBytes int64
 }
 
-// Residents returns the completed entries, sorted by key (workload,
-// size, budget, timing) so the listing is deterministic regardless of
-// recording order.
-func (c *Cache) Residents() []Resident {
+// Ledger returns every stream the cache has completed, whether or not
+// it is still resident, sorted by key (workload, size, budget, timing)
+// so the listing is deterministic regardless of recording order. A
+// stream recorded again is listed once, at its latest sizes.
+func (c *Cache) Ledger() []Streamed {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rs := make([]Resident, 0, len(c.entries))
-	for _, e := range c.entries {
-		if e.elem == nil {
-			continue // in flight
-		}
-		rs = append(rs, Resident{Key: e.key, Bytes: e.val.Bytes(), RawBytes: rawBytesOf(e.val)})
+	rs := make([]Streamed, 0, len(c.ledger))
+	for _, r := range c.ledger {
+		rs = append(rs, r)
 	}
 	sort.Slice(rs, func(i, j int) bool {
 		a, b := rs[i].Key, rs[j].Key
